@@ -9,6 +9,7 @@ the identity at both receivers; all closed forms downstream assume it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,14 +63,15 @@ class SystemConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
-        if self.rho <= 0:
-            raise ContractViolation(f"rho must be positive, got {self.rho}")
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (math.isfinite(self.rho) and self.rho > 0):
+            raise ContractViolation(f"rho must be positive and finite, got {self.rho}")
         if self.p_r is None:
             object.__setattr__(self, "p_r", default_power_coupling(self.n_s, self.rho))
-        if self.p_r <= 0:
-            raise ContractViolation(f"p_r must be positive, got {self.p_r}")
-        if self.rate_bpcu < 0:
-            raise ContractViolation(f"rate_bpcu must be nonnegative, got {self.rate_bpcu}")
+        if not (math.isfinite(self.p_r) and self.p_r > 0):
+            raise ContractViolation(f"p_r must be positive and finite, got {self.p_r}")
+        if not (math.isfinite(self.rate_bpcu) and self.rate_bpcu >= 0):
+            raise ContractViolation(f"rate_bpcu must be nonnegative and finite, got {self.rate_bpcu}")
 
     @property
     def m_dim(self) -> int:

@@ -223,11 +223,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if args.seed is not None:
             seed = args.seed
         overrides = {"master_seed": seed}
-        if args.mode:
+        if args.mode is not None:
             overrides["outage_mode"] = args.mode
-        if args.trials:
+        if args.trials is not None:
             overrides["trials_per_point"] = args.trials
-        if args.snr_db:
+        if args.snr_db is not None:
             overrides["snr_grid_db"] = tuple(_parse_float_list(args.snr_db))
         if args.adaptive:
             overrides["adaptive"] = True

@@ -60,14 +60,16 @@ def _clip_gamma(gamma: np.ndarray) -> np.ndarray:
     return np.maximum(gamma, 0.0)
 
 
-def mutual_info_joint(gamma: np.ndarray, bits: bool = True) -> float:
+def mutual_info_joint(gamma: np.ndarray, bits: bool = True) -> float | np.ndarray:
     """Rate of jointly-encoded streams, ``(1/2) sum_k log(1 + gamma_k)``.
 
     Bits per channel use by default, nats with ``bits=False``. Tiny
-    negative SINRs from round-off are clipped to zero.
+    negative SINRs from round-off are clipped to zero. A vector gives a
+    float; a stack (n, M) gives one rate per row.
     """
-    total = float(np.sum(np.log1p(_clip_gamma(gamma))))
-    return 0.5 * total / math.log(2.0) if bits else 0.5 * total
+    total = np.sum(np.log1p(_clip_gamma(gamma)), axis=-1)
+    rate = 0.5 * total / math.log(2.0) if bits else 0.5 * total
+    return float(rate) if np.ndim(rate) == 0 else rate
 
 
 def mi_from_mse_trace(trace_re: float, rho: float, n_s: int) -> float:
@@ -130,16 +132,18 @@ def outage_bound_statistic(
     return statistic, outage_threshold(n_s, lambda_h.shape[0], rate_bpcu)
 
 
-def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool:
+def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.ndarray:
     """Outage rule for per-antenna independent codewords at rate R/n_s.
 
     A stream rate exactly equal to its share counts as delivered. This
     baseline models separately-encoded antennas; its diversity does not
-    improve as the rate drops.
+    improve as the rate drops. A vector gives a bool; a stack (n, M)
+    gives one indicator per row.
     """
     gamma = _clip_gamma(gamma)
     per_stream = 0.5 * np.log2(1.0 + gamma)
-    return bool(np.min(per_stream) < rate_bpcu / n_s)
+    outage = np.min(per_stream, axis=-1) < rate_bpcu / n_s
+    return bool(outage) if np.ndim(outage) == 0 else outage
 
 
 def channel_eigenvalues(config: SystemConfig, chan: ChannelRealization) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,15 @@ splits into independent first-hop and second-hop terms; an algebraically
 independent direct formula is kept alongside as a cross-check and for
 evaluating arbitrary (non-optimal) relay matrices.
 
+The water level has a closed form on the active set of modes, which
+the per-draw design and the batched one share. For Monte Carlo work,
+``optimal_gamma_batch`` gives the per-stream SINR of the optimal design
+for a whole stack of draws from two stacked Gram eigendecompositions,
+without forming ``Q`` or ``W``: with the optimal precoder,
+``R_y = rho I - (H^H H + I/rho)^-1`` shares its eigenvectors with
+``H^H H``. ``build_design`` with ``error_cov_decomposed`` /
+``error_cov_direct`` stays the per-draw oracle it is checked against.
+
 Everything here works for any antenna configuration, including more
 source antennas than relay or destination antennas.
 """
@@ -35,18 +44,18 @@ __all__ = [
     "signal_covariance",
     "ry_identity_gap",
     "waterfill_phi",
+    "waterfill_phi_batch",
     "build_design",
     "destination_receiver",
     "destination_receiver_second_hop",
     "error_cov_decomposed",
     "error_cov_direct",
+    "optimal_gamma_batch",
     "relay_power",
     "second_hop_mse_trace",
 ]
 
 # Tolerances fixed by the module contracts.
-WATERFILL_POWER_RTOL = 1e-10
-WATERFILL_MAX_ITER = 200
 RANK_DEFICIENCY_RTOL = 1e-14
 
 
@@ -113,17 +122,54 @@ def ry_identity_gap(h: np.ndarray, rho: float) -> float:
     return float(np.linalg.norm(direct - alt)) / ref
 
 
-def _waterfill_power(nu: float, lambda_g: np.ndarray, products: np.ndarray) -> float:
-    # Total relay power spent at water level nu: sum_k lambda_y_k |phi_k|^2.
+def waterfill_phi_batch(
+    lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Water-fill relay power across paired eigenmodes, one row per draw.
+
+    ``lambda_y`` and ``lambda_g`` are (n, M) stacks, each row sorted
+    descending, so the products ``p_k = lambda_y[k] * lambda_g[k]`` are
+    descending too. With the top ``j`` modes active the budget fixes the
+    water level in closed form,
+
+        sqrt(nu_j) = sum_{k<=j} sqrt(p_k) / lambda_g[k]
+                     / (p_r + sum_{k<=j} 1 / lambda_g[k]),
+
+    and the active set is the largest ``j`` with ``p_j > nu_j``. Returns
+    ``phi`` (n, M) and ``nu`` (n,); rows where every mode is dead get
+    ``phi = 0`` and ``nu = +inf``.
+    """
+    lambda_y = np.asarray(lambda_y, dtype=np.float64)
+    lambda_g = np.asarray(lambda_g, dtype=np.float64)
+    if lambda_y.shape != lambda_g.shape or lambda_y.ndim != 2:
+        raise ContractViolation(
+            f"eigenvalue stacks must share one (n, M) shape, got {lambda_y.shape} and {lambda_g.shape}"
+        )
+    if np.any(lambda_y < 0) or np.any(lambda_g < 0):
+        raise ContractViolation("eigenvalues must be nonnegative")
+    for name, vec in (("lambda_y", lambda_y), ("lambda_g", lambda_g)):
+        if np.any(np.diff(vec, axis=1) > 1e-12 * (1.0 + vec[:, :-1])):
+            raise ContractViolation(f"{name} must be sorted descending")
+    if not (math.isfinite(p_r) and p_r > 0):
+        raise ContractViolation(f"relay power budget must be positive and finite, got {p_r}")
+
+    products = lambda_y * lambda_g
     active = products > 0
-    if not np.any(active):
-        return 0.0
-    gain = np.sqrt(products[active] / nu) - 1.0
-    return float(np.sum(np.maximum(gain, 0.0) / lambda_g[active]))
+    root_p = np.sqrt(products)
+    with np.errstate(divide="ignore"):
+        inv_g = np.where(active, 1.0 / lambda_g, 0.0)
+    root_nu = np.cumsum(root_p * inv_g, axis=1) / (p_r + np.cumsum(inv_g, axis=1))
+    feasible = active & (root_p > root_nu)
+    last = feasible.shape[1] - 1 - np.argmax(feasible[:, ::-1], axis=1)
+    root_level = np.where(feasible.any(axis=1), root_nu[np.arange(last.size), last], np.inf)
+    nu = root_level**2
+    safe = np.where(active, products, 1.0)
+    squared = np.where(active, np.maximum(np.sqrt(safe / nu[:, None]) - 1.0, 0.0) / safe, 0.0)
+    return np.sqrt(squared), nu
 
 
 def waterfill_phi(lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float) -> tuple[np.ndarray, float]:
-    """Water-fill relay power across paired eigenmodes.
+    """Water-fill relay power across paired eigenmodes of one draw.
 
     Returns the nonnegative diagonal magnitudes ``phi`` and the water
     level ``nu``. Modes with a dead second hop get exactly zero power;
@@ -131,9 +177,8 @@ def waterfill_phi(lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float) -> tup
     budget binds: ``sum_k lambda_y[k] * phi[k]**2 == p_r`` within 1e-8
     relative.
 
-    The water level is found by bisection on ``log nu``, which is safe
-    because total spent power is continuous and strictly decreasing in
-    ``nu`` wherever positive.
+    The one-row view of :func:`waterfill_phi_batch`: the water level is
+    the closed form on the active set, not the root of a search.
     """
     lambda_y = np.asarray(lambda_y, dtype=np.float64)
     lambda_g = np.asarray(lambda_g, dtype=np.float64)
@@ -141,43 +186,8 @@ def waterfill_phi(lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float) -> tup
         raise ContractViolation(
             f"eigenvalue vectors must share one length, got {lambda_y.shape} and {lambda_g.shape}"
         )
-    if np.any(lambda_y < 0) or np.any(lambda_g < 0):
-        raise ContractViolation("eigenvalues must be nonnegative")
-    for name, vec in (("lambda_y", lambda_y), ("lambda_g", lambda_g)):
-        if np.any(np.diff(vec) > 1e-12 * (1.0 + vec[:-1])):
-            raise ContractViolation(f"{name} must be sorted descending")
-    if p_r <= 0:
-        raise ContractViolation(f"relay power budget must be positive, got {p_r}")
-
-    products = lambda_y * lambda_g
-    phi = np.zeros_like(lambda_y)
-    if not np.any(products > 0):
-        return phi, math.inf
-
-    nu_hi = float(products.max())
-    nu_lo = nu_hi
-    while _waterfill_power(nu_lo, lambda_g, products) < p_r:
-        nu_lo *= 0.25
-    nu = nu_lo
-    for _ in range(WATERFILL_MAX_ITER):
-        nu = math.sqrt(nu_lo * nu_hi)
-        spent = _waterfill_power(nu, lambda_g, products)
-        if abs(spent - p_r) <= WATERFILL_POWER_RTOL * p_r:
-            break
-        if spent >= p_r:
-            nu_lo = nu
-        else:
-            nu_hi = nu
-
-    active = products > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        squared = np.where(
-            active,
-            np.maximum(np.sqrt(products / nu) - 1.0, 0.0) / np.where(active, products, 1.0),
-            0.0,
-        )
-    phi = np.sqrt(squared)
-    return phi, nu
+    phi, nu = waterfill_phi_batch(lambda_y[None, :], lambda_g[None, :], p_r)
+    return phi[0], float(nu[0])
 
 
 def _top_m_psd_eigs(matrix: np.ndarray, m: int, rank_limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -317,6 +327,49 @@ def error_cov_direct(config: SystemConfig, chan: ChannelRealization, q: np.ndarr
     s = 0.5 * (s + s.conj().T)
     r_e = rho * np.eye(n_s) - rho**2 * t.conj().T @ solve_hermitian_psd(s, t)
     return _error_cov_from_re(r_e, rho)
+
+
+def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-stream SINR of the optimal design for a stack of draws.
+
+    ``h`` is (n, n_r, n_s) and ``g`` is (n, n_d, n_r); returns (n, n_s).
+    With eigenpairs ``(lambda_h, V)`` of ``H^H H`` (descending) the
+    receiver-output eigenvalues are
+    ``lambda_y = rho^2 lambda_h / (rho lambda_h + 1)`` on the same
+    eigenvectors, and the per-stream MSE is
+
+        mse_i = sum_k |V_ik|^2 (1 / (lambda_h_k + 1/rho)
+                                + [k < M] / (phi_k^2 lambda_g_k + 1 / lambda_y_k)),
+
+    the diagonal of the two-term error covariance. A dead hop needs no
+    fallback: ``lambda_y = 0`` or ``lambda_g = 0`` makes the second term
+    equal the first hop's complement, so ``gamma = 0`` as the direct
+    formula gives for ``Q = 0``.
+    """
+    n_s, n_r, n_d, m = config.n_s, config.n_r, config.n_d, config.m_dim
+    h = np.asarray(h, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    if h.ndim != 3 or h.shape[1:] != (n_r, n_s) or g.shape != (h.shape[0], n_d, n_r):
+        raise ContractViolation(
+            f"channel stacks {h.shape}/{g.shape} do not match config {config.shape_label}"
+        )
+    rho = config.rho
+    lambda_h, v = np.linalg.eigh(h.conj().swapaxes(-1, -2) @ h)
+    lambda_h = np.maximum(lambda_h[:, ::-1], 0.0)
+    lambda_h[:, m:] = 0.0  # rank of H^H H is min(n_s, n_r) = M
+    v = v[:, :, ::-1]
+    weights = v.real**2 + v.imag**2
+    lambda_g = np.maximum(np.linalg.eigvalsh(g.conj().swapaxes(-1, -2) @ g)[:, ::-1][:, :m], 0.0)
+    lambda_g[:, min(n_r, n_d):] = 0.0
+
+    top = lambda_h[:, :m]
+    lambda_y = rho**2 * top / (rho * top + 1.0)
+    phi, _ = waterfill_phi_batch(lambda_y, lambda_g, config.p_r)
+    per_mode = 1.0 / (lambda_h + 1.0 / rho)
+    with np.errstate(divide="ignore"):
+        per_mode[:, :m] += 1.0 / (phi**2 * lambda_g + 1.0 / lambda_y)
+    mse = np.einsum("nik,nk->ni", weights, per_mode)
+    return rho / mse - 1.0
 
 
 def relay_power(h: np.ndarray, q: np.ndarray, rho: float) -> float:

@@ -47,6 +47,13 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             SystemConfig(n_s=1, n_r=1, n_d=1, rate_bpcu=-0.1)
 
+    @pytest.mark.parametrize("field", ["rho", "p_r", "rate_bpcu"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        # NaN passes every "< 0" check, so a NaN rate used to give p_out = 0
+        with pytest.raises(ContractViolation):
+            SystemConfig(n_s=2, n_r=2, n_d=2, **{field: value})
+
     def test_m_dim(self):
         assert SystemConfig(n_s=3, n_r=2, n_d=4).m_dim == 2
         assert SystemConfig(n_s=2, n_r=5, n_d=1).m_dim == 2

@@ -113,6 +113,28 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == EXIT_USAGE
         capsys.readouterr()
 
+    def test_nan_rate_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "nan.ini"
+        bad.write_text(SMALL_CONFIG.replace("rate_bpcu = 2.0", "rate_bpcu = nan"))
+        assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_rejected(self, config_path, tmp_path, capsys, seed):
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "x"),
+                     "--seed", seed])
+        assert code == EXIT_USAGE
+        assert "invalid sweep spec" in capsys.readouterr().err
+
+    def test_zero_trials_override_rejected(self, config_path, tmp_path, capsys):
+        # a falsy override must still be applied, and then fail validation
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "x"),
+                     "--trials", "0"])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+        capsys.readouterr()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         capsys.readouterr()

@@ -3,18 +3,22 @@
 import numpy as np
 import pytest
 
-from relaylab.channel import SystemConfig
-from relaylab.numerics import ContractViolation
+from relaylab.channel import SystemConfig, config_at_snr, sample_realization, sample_realization_batch
+from relaylab.metrics import evaluate_realization, mutual_info_joint
+from relaylab.numerics import ContractViolation, SeedSpec
 from relaylab.simulator import (
+    POINT_STRIDE,
     FitInfeasibleError,
     OutageCurve,
     OutagePoint,
     SweepSpec,
+    _count_outages_bound,
     fit_slope,
     run_point,
     run_sweep,
     wilson_interval,
 )
+from relaylab.transceiver import optimal_gamma_batch
 
 CFG_222 = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
 
@@ -70,6 +74,19 @@ class TestSweepSpecValidation:
         with pytest.raises(ContractViolation):
             SweepSpec(CFG_222, (10.0,), 1000, outage_mode="oracle")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits(self, seed):
+        with pytest.raises(ContractViolation):
+            SweepSpec(CFG_222, (10.0,), 1000, master_seed=seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert SweepSpec(CFG_222, (10.0,), 1000, master_seed=2**64 - 1).master_seed == 2**64 - 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_grid_must_be_finite(self, value):
+        with pytest.raises(ContractViolation):
+            SweepSpec(CFG_222, (10.0, value), 1000)
+
 
 class TestRunPoint:
     def test_zero_rate_never_in_outage(self):
@@ -88,6 +105,37 @@ class TestRunPoint:
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=0.42)
         outages, _ = run_point(config, 60.0, 100_000, "bound", master_seed=3)
         assert outages == 0
+
+    def test_bound_event_contains_exact_event_draw_by_draw(self):
+        # every draw in exact outage is counted by the bound statistic too
+        base = SystemConfig(n_s=4, n_r=2, n_d=3, rate_bpcu=2.0)
+        config = config_at_snr(base, 10.0)
+        h, g = sample_realization_batch(config, 21, np.arange(100_000, dtype=np.uint64))
+        exact = mutual_info_joint(optimal_gamma_batch(config, h, g)) <= config.rate_bpcu
+        assert 0 < np.count_nonzero(exact) < exact.size
+        assert _count_outages_bound(config, h[exact], g[exact]) == np.count_nonzero(exact)
+        assert _count_outages_bound(config, h, g) > np.count_nonzero(exact)
+
+    @pytest.mark.parametrize(
+        "shape,mode",
+        # separate mode is always in outage when n_s > n_r, so it is
+        # checked on shapes where its count is informative
+        [((4, 2, 3), "exact"), ((3, 2, 4), "exact"), ((2, 2, 2), "separate"), ((2, 3, 2), "separate")],
+    )
+    def test_designed_counts_match_scalar_route(self, shape, mode):
+        # run_point's batched count against evaluate_realization summed per draw
+        base = SystemConfig(*shape, rate_bpcu=2.0)
+        point_index, seed, trials = 1, 22, 600
+        for snr_db in (5.0, 15.0):
+            config = config_at_snr(base, snr_db)
+            expected = 0
+            for t in range(trials):
+                chan = sample_realization(config, SeedSpec(seed, point_index * POINT_STRIDE + t))
+                report = evaluate_realization(config, chan)
+                expected += report.outage_exact if mode == "exact" else report.outage_separate
+            got = run_point(base, snr_db, trials, mode, seed, point_index=point_index)
+            assert got == (expected, trials)
+            assert 0 < expected < trials
 
     def test_worker_invariance(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from relaylab.channel import ChannelRealization, SystemConfig, sample_realization
+from relaylab.channel import ChannelRealization, SystemConfig, sample_realization, sample_realization_batch
 from relaylab.numerics import ContractViolation, SeedSpec, sample_complex_gaussian
 from relaylab.transceiver import (
     RankDeficiencyError,
@@ -20,12 +20,14 @@ from relaylab.transceiver import (
     destination_receiver_second_hop,
     error_cov_decomposed,
     error_cov_direct,
+    optimal_gamma_batch,
     relay_power,
     relay_receiver,
     ry_identity_gap,
     second_hop_mse_trace,
     signal_covariance,
     waterfill_phi,
+    waterfill_phi_batch,
 )
 
 SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 2, 1), (4, 2, 3)]
@@ -140,6 +142,67 @@ class TestWaterfill:
     def test_rejects_unsorted_inputs(self):
         with pytest.raises(ContractViolation):
             waterfill_phi(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1.0)
+
+    def test_rejects_non_finite_budget(self):
+        for p_r in (float("nan"), float("inf")):
+            with pytest.raises(ContractViolation):
+                waterfill_phi(np.array([1.0]), np.array([1.0]), p_r)
+
+    def test_batch_rows_equal_single_rows(self):
+        rng = np.random.default_rng(20)
+        lam_y = np.sort(rng.gamma(2.0, 2.0, size=(200, 3)), axis=1)[:, ::-1]
+        lam_g = np.sort(rng.gamma(2.0, 2.0, size=(200, 3)), axis=1)[:, ::-1]
+        lam_g[::4, 1:] = 0.0
+        lam_g[::7] = 0.0
+        phi, nu = waterfill_phi_batch(lam_y, lam_g, 3.0)
+        for i in range(200):
+            phi_i, nu_i = waterfill_phi(lam_y[i], lam_g[i], 3.0)
+            assert np.array_equal(phi[i], phi_i)
+            assert nu[i] == nu_i
+        assert np.all(np.isinf(nu[::7])) and np.all(phi[::7] == 0.0)
+
+
+class TestOptimalGammaBatch:
+    def test_matches_decomposed_route(self):
+        # 1e4 draws over every shape and three SNRs against the per-draw design
+        draws = 10_000 // (len(SHAPES) * 3) + 1
+        worst = 0.0
+        for shape in SHAPES:
+            for rho in (1.0, 10.0, 100.0):
+                config = SystemConfig(*shape, rho=rho)
+                h, g = sample_realization_batch(config, 23, np.arange(draws, dtype=np.uint64))
+                batched = optimal_gamma_batch(config, h, g)
+                for i in range(draws):
+                    chan = ChannelRealization(h=h[i], g=g[i])
+                    ref = error_cov_decomposed(config, chan, build_design(config, chan)).gamma
+                    worst = max(worst, float(np.max(np.abs(batched[i] - ref) / ref)))
+        assert worst <= 1e-9, f"worst relative SINR gap {worst:.3e}"
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dead_hops_match_direct_route(self, shape):
+        # h = 0 makes the decomposed route raise RankDeficiencyError; the
+        # batch needs no fallback and agrees with the direct formula
+        n_s, n_r, n_d = shape
+        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=10.0)
+        h, g = sample_realization_batch(config, 24, np.arange(4, dtype=np.uint64))
+        h[0] = 0.0
+        g[1] = 0.0
+        h[2] = 0.0
+        g[2] = 0.0
+        batched = optimal_gamma_batch(config, h, g)
+        for i in range(4):
+            chan = ChannelRealization(h=h[i], g=g[i])
+            direct = error_cov_direct(config, chan, build_design(config, chan).q).gamma
+            assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
+        assert np.max(np.abs(batched[:3])) <= 1e-12
+
+    def test_rejects_mismatched_stacks(self):
+        config = SystemConfig(n_s=2, n_r=2, n_d=2, rho=10.0)
+        h, g = sample_realization_batch(config, 25, np.arange(3, dtype=np.uint64))
+        with pytest.raises(ContractViolation):
+            optimal_gamma_batch(config, h, g[:2])
+        with pytest.raises(ContractViolation):
+            optimal_gamma_batch(config, h[0], g[0])
 
 
 class TestBuildDesign:
