@@ -108,12 +108,11 @@ def sample_realization(config: SystemConfig, seed: SeedSpec) -> ChannelRealizati
     """Draw one quasi-static realization; pure in (config, seed).
 
     The two hops come from disjoint counter lanes of the same stream, so
-    ``h`` and ``g`` are mutually independent.
+    ``h`` and ``g`` are mutually independent. The one-row view of
+    :func:`sample_realization_batch`.
     """
-    streams = np.array([seed.stream_index], dtype=np.uint64)
-    h = sample_complex_gaussian_batch(config.n_r, config.n_s, seed.master_seed, streams, _LANE_H)[0]
-    g = sample_complex_gaussian_batch(config.n_d, config.n_r, seed.master_seed, streams, _LANE_G)[0]
-    return ChannelRealization(h=h, g=g)
+    h, g = sample_realization_batch(config, seed.master_seed, np.array([seed.stream_index], dtype=np.uint64))
+    return ChannelRealization(h=h[0], g=g[0])
 
 
 def sample_realization_batch(

@@ -105,8 +105,6 @@ def read_curve_csv(path: Path, config: SystemConfig | None = None, mode: str = "
                 ci_high=float(ci_high),
             )
         )
-    if config is None:
-        config = SystemConfig(n_s=1, n_r=1, n_d=1)
     return OutageCurve(points=tuple(points), mode=mode, config=config)
 
 
@@ -123,7 +121,7 @@ def parse_sweep_config(path: Path) -> SweepSpec:
         n_d=sys_sec.getint("n_d"),
         rate_bpcu=sys_sec.getfloat("rate_bpcu"),
     )
-    grid = tuple(float(x) for x in sweep.get("snr_grid_db").split(","))
+    grid = tuple(float(x) for x in sweep.get("snr_grid_db", "").split(","))
     return SweepSpec(
         config=config,
         snr_grid_db=grid,
@@ -267,14 +265,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _config_for_slope(args: argparse.Namespace, curve_path: Path) -> SystemConfig | None:
-    if args.ns and args.nr and args.nd and args.rate is not None:
+    flags = (args.ns, args.nr, args.nd, args.rate)
+    if any(v is not None for v in flags):
+        if None in flags:
+            raise ContractViolation("--ns, --nr, --nd and --rate must be given together")
+        if not args.rate > 0:
+            raise ContractViolation(f"--rate must be positive (no outage at rate 0), got {args.rate}")
         return SystemConfig(n_s=args.ns, n_r=args.nr, n_d=args.nd, rate_bpcu=args.rate)
     manifest = Path(args.manifest) if args.manifest else curve_path.parent / "manifest.txt"
-    if manifest.exists():
-        try:
-            return parse_sweep_config(manifest).config
-        except (ContractViolation, configparser.Error, ValueError):
-            return None
+    if args.manifest or manifest.exists():
+        return parse_sweep_config(manifest).config
     return None
 
 
@@ -283,7 +283,7 @@ def cmd_slope(args: argparse.Namespace) -> int:
     try:
         config = _config_for_slope(args, curve_path)
         curve = read_curve_csv(curve_path, config=config)
-    except (OSError, ContractViolation) as exc:
+    except (OSError, ContractViolation, configparser.Error, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -291,7 +291,7 @@ def cmd_slope(args: argparse.Namespace) -> int:
     except FitInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    d_theory = str(fit.d_theory) if config is not None else "n/a (no config)"
+    d_theory = "n/a (no config)" if fit.d_theory is None else str(fit.d_theory)
     print(f"d_hat     = {fit.d_hat:.4f}")
     print(f"window    = {', '.join(_fmt(x) for x in fit.window_snr_db)} dB")
     print(f"residual  = {fit.residual:.3e}")
@@ -461,6 +461,11 @@ def _track(worst: dict, key: str, value: float, draw: int) -> None:
 def cmd_design_check(args: argparse.Namespace) -> int:
     try:
         shapes = _parse_shapes(args.shapes)
+        for shape in shapes:
+            SystemConfig(*shape, rho=args.rho)  # rejects non-positive counts and rho
+        SeedSpec(args.seed)
+        if args.draws < 1:
+            raise ContractViolation(f"--draws must be positive, got {args.draws}")
     except (ContractViolation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

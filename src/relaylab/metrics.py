@@ -16,19 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
-from .numerics import ContractViolation, eig_hermitian_desc
-from .transceiver import (
-    RankDeficiencyError,
-    build_design,
-    error_cov_decomposed,
-    error_cov_direct,
-)
+from .numerics import ContractViolation, gram_eigvals_desc
+from .theory import outage_threshold
+from .transceiver import build_design, error_cov_direct
 
 __all__ = [
     "MiReport",
     "GAMMA_CLIP",
     "mutual_info_joint",
     "mi_lower_bound",
+    "bound_statistic",
     "outage_bound_statistic",
     "outage_threshold",
     "outage_separate",
@@ -77,33 +74,44 @@ def mi_from_mse_trace(trace_re: float, rho: float, n_s: int) -> float:
     return -0.5 * n_s * math.log2(trace_re / (rho * n_s))
 
 
-def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: int) -> float:
+def bound_statistic(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float) -> np.ndarray:
+    """Eigenvalue bound statistic over the last axis, one value per row.
+
+    Both inputs hold the top-M Gram eigenvalues of their hop, descending:
+    ``sum_k 1/(1 + rho lambda_h_k) + 1/(rho lambda_g_k + rho/lambda_y_k)``
+    with the receiver-output eigenvalues entering through the exact
+    identity ``rho / lambda_y_k = 1 + 1/(rho lambda_h_k)``.
+    """
+    lambda_h = np.asarray(lambda_h, dtype=np.float64)
+    lambda_g = np.asarray(lambda_g, dtype=np.float64)
+    if lambda_h.shape != lambda_g.shape:
+        raise ContractViolation("eigenvalue vectors must have equal length M")
+    with np.errstate(divide="ignore"):
+        rho_over_lambda_y = 1.0 + 1.0 / (rho * lambda_h)
+        return np.sum(1.0 / (1.0 + rho * lambda_h), axis=-1) + np.sum(
+            1.0 / (rho * lambda_g + rho_over_lambda_y), axis=-1
+        )
+
+
+def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: int) -> float | np.ndarray:
     """Eigenvalue-only lower bound on the rate, in bpcu.
 
     ``lambda_h`` holds all ``n_s`` eigenvalues of H^H H (zero-padded
     beyond its rank); ``lambda_g`` the top-M eigenvalues of G^H G. The
-    receiver-output eigenvalues enter through the exact identity
-    ``rho / lambda_y_k = 1 + 1/(rho lambda_h_k)``, so they are derived
-    rather than passed. May return a slightly negative value as the SNR
-    vanishes; reporting layers clip at zero.
+    bound is :func:`bound_statistic` on the top M modes plus
+    ``1/(1 + rho lambda_h_k)`` for the modes beyond M. May return a
+    slightly negative value as the SNR vanishes; reporting layers clip at
+    zero. Vectors give a float; stacks give one bound per row.
     """
     lambda_h = np.asarray(lambda_h, dtype=np.float64)
-    lambda_g = np.asarray(lambda_g, dtype=np.float64)
-    if lambda_h.shape[0] != n_s:
-        raise ContractViolation(f"lambda_h must have n_s={n_s} entries, got {lambda_h.shape[0]}")
-    if lambda_g.shape[0] > n_s:
-        raise ContractViolation("lambda_g cannot have more entries than n_s")
-    m = lambda_g.shape[0]
-    with np.errstate(divide="ignore"):
-        first = np.sum(1.0 / (1.0 + rho * lambda_h))
-        rho_over_lambda_y = 1.0 + 1.0 / (rho * lambda_h[:m])
-        second = np.sum(1.0 / (rho * lambda_g + rho_over_lambda_y))
-    return -0.5 * n_s * math.log2((first + second) / n_s)
-
-
-def outage_threshold(n_s: int, m_dim: int, rate_bpcu: float) -> float:
-    """Threshold the bound statistic is compared against."""
-    return n_s * 2.0 ** (-2.0 * rate_bpcu / n_s) - (n_s - m_dim)
+    if lambda_h.shape[-1] != n_s:
+        raise ContractViolation(f"lambda_h must have n_s={n_s} entries, got {lambda_h.shape[-1]}")
+    m = np.shape(lambda_g)[-1]  # more than n_s fails the shape check in bound_statistic
+    total = bound_statistic(lambda_h[..., :m], lambda_g, rho) + np.sum(
+        1.0 / (1.0 + rho * lambda_h[..., m:]), axis=-1
+    )
+    lower = -0.5 * n_s * np.log2(total / n_s)
+    return float(lower) if np.ndim(lower) == 0 else lower
 
 
 def outage_bound_statistic(
@@ -113,23 +121,13 @@ def outage_bound_statistic(
     n_s: int,
     rate_bpcu: float,
 ) -> tuple[float, float]:
-    """Outage-bound statistic and its threshold ``m``.
+    """Outage-bound statistic of one draw and its threshold ``m``.
 
     Both inputs are the top-M Gram eigenvalues of their hop, descending.
     The bound declares outage when ``statistic >= m``; this event contains
     the exact outage event on every realization.
     """
-    lambda_h = np.asarray(lambda_h, dtype=np.float64)
-    lambda_g = np.asarray(lambda_g, dtype=np.float64)
-    if lambda_h.shape != lambda_g.shape:
-        raise ContractViolation("eigenvalue vectors must have equal length M")
-    with np.errstate(divide="ignore"):
-        rho_over_lambda_y = 1.0 + 1.0 / (rho * lambda_h)
-        statistic = float(
-            np.sum(1.0 / (1.0 + rho * lambda_h))
-            + np.sum(1.0 / (rho * lambda_g + rho_over_lambda_y))
-        )
-    return statistic, outage_threshold(n_s, lambda_h.shape[0], rate_bpcu)
+    return float(bound_statistic(lambda_h, lambda_g, rho)), outage_threshold(n_s, np.shape(lambda_h)[-1], rate_bpcu)
 
 
 def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.ndarray:
@@ -151,27 +149,23 @@ def channel_eigenvalues(config: SystemConfig, chan: ChannelRealization) -> tuple
 
     Returns ``(lambda_h, lambda_g)``: all ``n_s`` eigenvalues of H^H H
     (exact zeros beyond rank min(n_s, n_r)) and the top-M eigenvalues of
-    G^H G (exact zeros beyond rank min(n_r, n_d)).
+    G^H G (exact zeros beyond rank min(n_r, n_d)). The one-draw view of
+    :func:`~relaylab.numerics.gram_eigvals_desc`.
     """
-    lambda_h = eig_hermitian_desc(chan.h.conj().T @ chan.h).values
-    rank_h = min(config.n_s, config.n_r)
-    lambda_h[rank_h:] = 0.0
-    lambda_g = eig_hermitian_desc(chan.g.conj().T @ chan.g).values[: config.m_dim].copy()
-    rank_g = min(config.n_r, config.n_d)
-    if rank_g < config.m_dim:
-        lambda_g[rank_g:] = 0.0
+    lambda_h = gram_eigvals_desc(chan.h[None], config.n_s)[0]
+    lambda_g = gram_eigvals_desc(chan.g[None], config.m_dim)[0]
     return lambda_h, lambda_g
 
 
 def evaluate_realization(config: SystemConfig, chan: ChannelRealization) -> MiReport:
-    """Design the transceiver for one draw and report rate and outage."""
+    """Design the transceiver for one draw and report rate and outage.
+
+    The SINRs come from the direct error covariance, which holds for every
+    draw: a dead hop gives ``Q = 0`` and ``gamma = 0``.
+    """
     design = build_design(config, chan)
-    try:
-        cov = error_cov_decomposed(config, chan, design)
-    except RankDeficiencyError:
-        # Dead first hop (measure zero): the direct oracle still applies.
-        cov = error_cov_direct(config, chan, design.q)
-    mi = mutual_info_joint(cov.gamma)
+    gamma = error_cov_direct(config, chan, design.q).gamma
+    mi = mutual_info_joint(gamma)
     lambda_h, lambda_g = channel_eigenvalues(config, chan)
     lower = mi_lower_bound(lambda_h, lambda_g, config.rho, config.n_s)
     statistic, m = outage_bound_statistic(
@@ -184,5 +178,5 @@ def evaluate_realization(config: SystemConfig, chan: ChannelRealization) -> MiRe
         m_threshold=m,
         outage_exact=mi <= config.rate_bpcu,
         outage_bound=statistic >= m,
-        outage_separate=outage_separate(cov.gamma, config.rate_bpcu, config.n_s),
+        outage_separate=outage_separate(gamma, config.rate_bpcu, config.n_s),
     )

@@ -23,6 +23,7 @@ __all__ = [
     "SeedSpec",
     "HermitianEig",
     "eig_hermitian_desc",
+    "gram_eigvals_desc",
     "solve_hermitian_psd",
     "sample_complex_gaussian",
     "sample_complex_gaussian_batch",
@@ -257,6 +258,34 @@ def eig_hermitian_desc(a: np.ndarray) -> HermitianEig:
     tiny_negative = (values < 0) & (values >= -PSD_CLIP_REL * scale)
     values[tiny_negative] = 0.0
     return HermitianEig(values=values, vectors=_fix_eigenvector_phases(vectors))
+
+
+def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
+    """Top-``k`` eigenvalues of ``A^H A`` for each ``A`` of an (n, r, c) stack.
+
+    Returns (n, k), each row descending. The spectrum is taken from the
+    smaller of ``A A^H`` and ``A^H A`` (closed form for orders 1 and 2,
+    ``eigvalsh`` otherwise), clipped at 0, and padded with exact zeros
+    beyond the rank bound min(r, c). Row ``i`` depends on ``mats[i]``
+    only, so a one-matrix stack gives the same bits as the full batch.
+    """
+    order = min(mats.shape[1:])
+    herm = mats.conj().swapaxes(-1, -2)
+    gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
+    if order == 1:
+        values = np.maximum(gram[..., 0, 0].real, 0.0)[:, None]
+    elif order == 2:
+        a = gram[..., 0, 0].real
+        b = gram[..., 1, 1].real
+        c = gram[..., 0, 1]
+        half = 0.5 * (a + b)
+        disc = np.sqrt(0.25 * (a - b) ** 2 + c.real**2 + c.imag**2)
+        values = np.stack([half + disc, np.maximum(half - disc, 0.0)], axis=-1)
+    else:
+        values = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
+    if k <= order:
+        return values[:, :k]
+    return np.pad(values, ((0, 0), (0, k - order)))
 
 
 def solve_hermitian_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import theory
 from .channel import SystemConfig, config_at_snr, sample_realization_batch
-from .metrics import mutual_info_joint, outage_separate, outage_threshold
-from .numerics import ContractViolation
+from .metrics import bound_statistic, mutual_info_joint, outage_separate, outage_threshold
+from .numerics import ContractViolation, gram_eigvals_desc
 from .transceiver import optimal_gamma_batch
 
 __all__ = [
@@ -103,7 +103,7 @@ class OutagePoint:
 class OutageCurve:
     points: tuple[OutagePoint, ...]
     mode: str
-    config: SystemConfig
+    config: SystemConfig | None   # None when the curve was read without one
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SlopeFit:
     d_hat: float
     window_snr_db: tuple[float, ...]
     residual: float               # RMS of log10 fit residuals
-    d_theory: int
+    d_theory: int | None          # None when the curve carries no config
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
@@ -134,43 +134,9 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
-def _batched_psd_eigs_desc(grams: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a stack of small Hermitian PSD matrices."""
-    k = grams.shape[-1]
-    if k == 1:
-        return np.maximum(grams[..., 0, 0].real, 0.0)[:, None]
-    if k == 2:
-        a = grams[..., 0, 0].real
-        b = grams[..., 1, 1].real
-        c = grams[..., 0, 1]
-        half = 0.5 * (a + b)
-        disc = np.sqrt(0.25 * (a - b) ** 2 + c.real**2 + c.imag**2)
-        return np.stack([half + disc, np.maximum(half - disc, 0.0)], axis=-1)
-    values = np.linalg.eigvalsh(grams)
-    return np.maximum(values[..., ::-1], 0.0)
-
-
-def _small_gram_stack(mats: np.ndarray) -> np.ndarray:
-    # A A^H or A^H A, whichever is smaller; both carry the positive spectrum.
-    n, r, c = mats.shape
-    herm = mats.conj().swapaxes(-1, -2)
-    return mats @ herm if r <= c else herm @ mats
-
-
 def _count_outages_bound(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> int:
-    rho = config.rho
     m_dim = config.m_dim
-    lam_h = _batched_psd_eigs_desc(_small_gram_stack(h))[:, :m_dim]
-    lam_g = _batched_psd_eigs_desc(_small_gram_stack(g))
-    if lam_g.shape[1] >= m_dim:
-        lam_g = lam_g[:, :m_dim]
-    else:
-        lam_g = np.pad(lam_g, ((0, 0), (0, m_dim - lam_g.shape[1])))
-    with np.errstate(divide="ignore"):
-        rho_over_lambda_y = 1.0 + 1.0 / (rho * lam_h)
-        statistic = np.sum(1.0 / (1.0 + rho * lam_h), axis=1) + np.sum(
-            1.0 / (rho * lam_g + rho_over_lambda_y), axis=1
-        )
+    statistic = bound_statistic(gram_eigvals_desc(h, m_dim), gram_eigvals_desc(g, m_dim), config.rho)
     m = outage_threshold(config.n_s, m_dim, config.rate_bpcu)
     return int(np.count_nonzero(statistic >= m))
 
@@ -336,5 +302,5 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
         d_hat=float(-slope),
         window_snr_db=tuple(p.snr_db for p in window),
         residual=residual,
-        d_theory=theory.drt(cfg.n_s, cfg.n_r, cfg.n_d, cfg.rate_bpcu),
+        d_theory=None if cfg is None else theory.drt(cfg.n_s, cfg.n_r, cfg.n_d, cfg.rate_bpcu),
     )

@@ -16,6 +16,7 @@ from .numerics import ContractViolation
 __all__ = [
     "DiversityPrediction",
     "m_bar",
+    "outage_threshold",
     "drt",
     "dmt",
     "classify_regime",
@@ -49,12 +50,17 @@ def _ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
+def outage_threshold(n_s: int, m_dim: int, rate_bpcu: float) -> float:
+    """Threshold ``m = n_s 2^(-2R/n_s) - (n_s - M)`` the bound statistic is
+    compared against; ``m_bar`` is its snapped ceiling."""
+    return n_s * 2.0 ** (-2.0 * rate_bpcu / n_s) - (n_s - m_dim)
+
+
 def m_bar(n_s: int, m_dim: int, rate_bpcu: float) -> int:
-    """ceil( (n_s * 2^(-2R/n_s) + M - n_s)^+ ); equals M at zero rate."""
+    """ceil( m^+ ) of :func:`outage_threshold`; equals M at zero rate."""
     if rate_bpcu < 0:
         raise ContractViolation(f"rate must be nonnegative, got {rate_bpcu}")
-    arg = n_s * 2.0 ** (-2.0 * rate_bpcu / n_s) + m_dim - n_s
-    return _ceil_snapped(max(arg, 0.0))
+    return _ceil_snapped(max(outage_threshold(n_s, m_dim, rate_bpcu), 0.0))
 
 
 def drt(n_s: int, n_r: int, n_d: int, rate_bpcu: float) -> int:

@@ -33,6 +33,7 @@ from .channel import ChannelRealization, SystemConfig
 from .numerics import (
     ContractViolation,
     eig_hermitian_desc,
+    gram_eigvals_desc,
     solve_hermitian_psd,
 )
 
@@ -89,22 +90,23 @@ class ErrorCovariance:
     gamma: np.ndarray           # per-stream SINR, rho/mse - 1
 
 
+def _relay_output(h: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    # The receiver L and its output covariance R_y from one solve.
+    h = np.asarray(h, dtype=np.complex128)
+    a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
+    l = rho * solve_hermitian_psd(a, h).conj().T
+    r_y = l @ a @ l.conj().T
+    return l, 0.5 * (r_y + r_y.conj().T)
+
+
 def relay_receiver(h: np.ndarray, rho: float) -> np.ndarray:
     """First-hop Wiener receiver ``rho H^H (rho H H^H + I)^-1``."""
-    h = np.asarray(h, dtype=np.complex128)
-    n_r = h.shape[0]
-    a = rho * (h @ h.conj().T) + np.eye(n_r)
-    return rho * solve_hermitian_psd(a, h).conj().T
+    return _relay_output(h, rho)[0]
 
 
 def signal_covariance(h: np.ndarray, rho: float) -> np.ndarray:
     """Covariance of the relay receiver output, ``L (rho H H^H + I) L^H``."""
-    h = np.asarray(h, dtype=np.complex128)
-    n_r = h.shape[0]
-    a = rho * (h @ h.conj().T) + np.eye(n_r)
-    l = rho * solve_hermitian_psd(a, h).conj().T
-    r_y = l @ a @ l.conj().T
-    return 0.5 * (r_y + r_y.conj().T)
+    return _relay_output(h, rho)[1]
 
 
 def _ry_complement_form(h: np.ndarray, rho: float) -> np.ndarray:
@@ -180,13 +182,7 @@ def waterfill_phi(lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float) -> tup
     The one-row view of :func:`waterfill_phi_batch`: the water level is
     the closed form on the active set, not the root of a search.
     """
-    lambda_y = np.asarray(lambda_y, dtype=np.float64)
-    lambda_g = np.asarray(lambda_g, dtype=np.float64)
-    if lambda_y.shape != lambda_g.shape or lambda_y.ndim != 1:
-        raise ContractViolation(
-            f"eigenvalue vectors must share one length, got {lambda_y.shape} and {lambda_g.shape}"
-        )
-    phi, nu = waterfill_phi_batch(lambda_y[None, :], lambda_g[None, :], p_r)
+    phi, nu = waterfill_phi_batch(np.asarray(lambda_y)[None], np.asarray(lambda_g)[None], p_r)
     return phi[0], float(nu[0])
 
 
@@ -241,10 +237,7 @@ def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverD
             f"channel shapes {h.shape}/{g.shape} do not match config {config.shape_label}"
         )
 
-    l = relay_receiver(h, rho)
-    a = rho * (h @ h.conj().T) + np.eye(n_r)
-    r_y = l @ a @ l.conj().T
-    r_y = 0.5 * (r_y + r_y.conj().T)
+    l, r_y = _relay_output(h, rho)  # the relay_receiver and signal_covariance pair
 
     lambda_y, u_y_tilde = _top_m_psd_eigs(r_y, m, rank_limit=m)
     lambda_g, v_g_tilde = _top_m_psd_eigs(g.conj().T @ g, m, rank_limit=min(n_r, n_d))
@@ -315,18 +308,13 @@ def error_cov_direct(config: SystemConfig, chan: ChannelRealization, q: np.ndarr
     """Error covariance of the end-to-end MMSE estimate for any relay ``q``.
 
     With ``T = G Q H`` and forwarded-noise covariance ``C = G Q Q^H G^H + I``,
-    this is ``rho I - rho^2 T^H (rho T T^H + C)^-1 T``. Serves as the
+    this is ``rho (I - W T)`` with ``W`` from :func:`destination_receiver`,
+    i.e. ``rho I - rho^2 T^H (rho T T^H + C)^-1 T``. Serves as the
     independent oracle for the decomposition and for non-MMSE baselines.
     """
-    h, g = chan.h, chan.g
-    rho = config.rho
-    n_s, n_d = config.n_s, config.n_d
-    f = g @ q
-    t = f @ h
-    s = rho * (t @ t.conj().T) + f @ f.conj().T + np.eye(n_d)
-    s = 0.5 * (s + s.conj().T)
-    r_e = rho * np.eye(n_s) - rho**2 * t.conj().T @ solve_hermitian_psd(s, t)
-    return _error_cov_from_re(r_e, rho)
+    w = destination_receiver(chan.h, chan.g, q, config.rho)
+    r_e = config.rho * (np.eye(config.n_s) - w @ (chan.g @ q @ chan.h))
+    return _error_cov_from_re(r_e, config.rho)
 
 
 def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -359,8 +347,7 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     lambda_h[:, m:] = 0.0  # rank of H^H H is min(n_s, n_r) = M
     v = v[:, :, ::-1]
     weights = v.real**2 + v.imag**2
-    lambda_g = np.maximum(np.linalg.eigvalsh(g.conj().swapaxes(-1, -2) @ g)[:, ::-1][:, :m], 0.0)
-    lambda_g[:, min(n_r, n_d):] = 0.0
+    lambda_g = gram_eigvals_desc(g, m)
 
     top = lambda_h[:, :m]
     lambda_y = rho**2 * top / (rho * top + 1.0)

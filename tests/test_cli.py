@@ -16,7 +16,9 @@ from relaylab.cli import (
     EXIT_USAGE,
     main,
     parse_sweep_config,
+    read_curve_csv,
 )
+from relaylab.simulator import fit_slope
 
 SMALL_CONFIG = """\
 [system]
@@ -184,6 +186,40 @@ class TestSlopeCommand:
         assert "d_hat     = 3.0000" in out
         assert "n/a" in out  # no config available
 
+    def test_curve_without_config_has_none(self, tmp_path):
+        curve_path = tmp_path / "curve.csv"
+        self._write_power_law_curve(curve_path, 3.0)
+        curve = read_curve_csv(curve_path)
+        assert curve.config is None  # no invented 1x1x1 config
+        assert fit_slope(curve).d_theory is None
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--ns", "0", "--nr", "2", "--nd", "2", "--rate", "1"],
+            ["--ns", "2", "--nr", "-1", "--nd", "2", "--rate", "1"],
+            ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "0"],
+            ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "nan"],
+            ["--ns", "2", "--nr", "2", "--nd", "2"],
+            ["--rate", "1"],
+            ["--manifest", "missing.txt"],
+            ["--manifest", "curve.csv"],
+        ],
+    )
+    def test_bad_config_input_exit_2(self, tmp_path, capsys, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        self._write_power_law_curve(tmp_path / "curve.csv", 1.0)
+        assert main(["slope", "--curve", "curve.csv", *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "d_theory" not in captured.out
+
+    def test_broken_sibling_manifest_exit_2(self, tmp_path, capsys):
+        self._write_power_law_curve(tmp_path / "curve.csv", 1.0)
+        (tmp_path / "manifest.txt").write_text("[system]\nn_s = 2\n")
+        assert main(["slope", "--curve", str(tmp_path / "curve.csv")]) == EXIT_USAGE
+        assert "[sweep]" in capsys.readouterr().err
+
     def test_d_theory_from_flags(self, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
         self._write_power_law_curve(curve, 1.0)
@@ -242,6 +278,22 @@ class TestDesignCheckCommand:
     def test_bad_shape_exit_2(self, capsys):
         assert main(["design-check", "--shapes", "2x2"]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--shapes", "2x2x2", "--draws", "0"],
+            ["--shapes", "2x2x2", "--rho", "nan"],
+            ["--shapes", "2x2x2", "--rho", "-1"],
+            ["--shapes", "0x2x2"],
+            ["--shapes", "2x2x2", "--seed", "-1"],
+        ],
+    )
+    def test_bad_input_exit_2(self, capsys, extra):
+        assert main(["design-check", *extra]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
 
 class TestConfigParsing:

@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from relaylab.channel import SystemConfig, sample_realization
+from relaylab.channel import ChannelRealization, SystemConfig, sample_realization, sample_realization_batch
 from relaylab.metrics import (
+    bound_statistic,
     channel_eigenvalues,
     evaluate_realization,
     mi_from_mse_trace,
@@ -21,7 +22,8 @@ from relaylab.metrics import (
     outage_separate,
     outage_threshold,
 )
-from relaylab.numerics import ContractViolation, SeedSpec
+from relaylab.numerics import ContractViolation, SeedSpec, gram_eigvals_desc
+from relaylab.simulator import _count_outages_bound
 from relaylab.theory import m_bar
 from relaylab.transceiver import build_design, error_cov_decomposed
 
@@ -185,3 +187,36 @@ class TestChannelEigenvalues:
         _, lam_g = channel_eigenvalues(config, chan)
         assert lam_g.shape == (2,)
         assert lam_g[1] == 0.0  # rank min(2, 1) = 1
+
+
+class TestScalarRoutesAreBatchRows:
+    # the scalar metrics are one-row views of the batched routes the
+    # simulator counts with, so their values agree bit for bit
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rows_equal_bitwise(self, shape):
+        config = SystemConfig(*shape, rho=10.0, rate_bpcu=1.0)
+        n_s, m = config.n_s, config.m_dim
+        h, g = sample_realization_batch(config, 7, np.arange(50, dtype=np.uint64))
+        lam_h = gram_eigvals_desc(h, n_s)
+        lam_g = gram_eigvals_desc(g, m)
+        statistic = bound_statistic(lam_h[:, :m], lam_g, config.rho)
+        lower = mi_lower_bound(lam_h, lam_g, config.rho, n_s)
+        outages = 0
+        for i in range(h.shape[0]):
+            row_h, row_g = channel_eigenvalues(config, ChannelRealization(h=h[i], g=g[i]))
+            assert np.array_equal(row_h, lam_h[i]) and np.array_equal(row_g, lam_g[i])
+            s, threshold = outage_bound_statistic(row_h[:m], row_g, config.rho, n_s, config.rate_bpcu)
+            assert s == statistic[i]
+            assert mi_lower_bound(row_h, row_g, config.rho, n_s) == lower[i]
+            outages += s >= threshold
+        assert _count_outages_bound(config, h, g) == outages
+
+
+class TestDeadFirstHop:
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 2, 2), (4, 2, 3)])
+    def test_zero_rate_and_outage(self, shape):
+        config = SystemConfig(*shape, rho=10.0, rate_bpcu=0.5)
+        chan = sample_realization(config, SeedSpec(3, 0))
+        report = evaluate_realization(config, ChannelRealization(h=np.zeros_like(chan.h), g=chan.g))
+        assert report.mi_exact == 0.0
+        assert report.outage_exact and report.outage_bound and report.outage_separate

@@ -13,6 +13,7 @@ from relaylab.numerics import (
     NumericalRankError,
     SeedSpec,
     eig_hermitian_desc,
+    gram_eigvals_desc,
     philox4x64_block,
     sample_complex_gaussian,
     sample_complex_gaussian_batch,
@@ -133,6 +134,34 @@ class TestEig:
             eig_hermitian_desc(np.ones((2, 3)))
         with pytest.raises(ContractViolation):
             eig_hermitian_desc(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+class TestGramEigvals:
+    @staticmethod
+    def _stack(r, c):
+        full = sample_complex_gaussian_batch(r, c, 31, np.arange(40, dtype=np.uint64))
+        rank_one = full[:10, :, :1] @ full[:10, :1, :]  # rank 1 on every shape
+        return np.concatenate([full, rank_one, np.zeros((1, r, c), dtype=complex)])
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    def test_matches_eigvalsh(self, r, c):
+        mats = self._stack(r, c)
+        got = gram_eigvals_desc(mats, c)
+        ref = np.linalg.eigvalsh(mats.conj().swapaxes(-1, -2) @ mats)[:, ::-1]
+        assert got.shape == (mats.shape[0], c)
+        scale = 1.0 + ref[:, :1]
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+        assert np.all(np.diff(got, axis=1) <= 0.0)
+        assert np.all(got[:, min(r, c):] == 0.0)  # structural zeros, exact
+        assert np.array_equal(gram_eigvals_desc(mats, 1), got[:, :1])
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 2), (2, 4), (4, 4)])
+    def test_one_matrix_stack_is_a_row_of_the_batch(self, shape):
+        mats = self._stack(*shape)
+        batch = gram_eigvals_desc(mats, 4)
+        for i in range(mats.shape[0]):
+            assert np.array_equal(gram_eigvals_desc(mats[i][None], 4)[0], batch[i])
 
 
 class TestSolve:
