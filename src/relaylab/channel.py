@@ -83,11 +83,10 @@ class SystemConfig:
         return f"{self.n_s}x{self.n_r}x{self.n_d}"
 
 
-def config_at_snr(config: SystemConfig, snr_db: float, couple_relay_power: bool = True) -> SystemConfig:
-    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB)."""
+def config_at_snr(config: SystemConfig, snr_db: float) -> SystemConfig:
+    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), relay budget coupled."""
     rho = 10.0 ** (snr_db / 10.0)
-    p_r = default_power_coupling(config.n_s, rho) if couple_relay_power else config.p_r
-    return replace(config, rho=rho, p_r=p_r)
+    return replace(config, rho=rho, p_r=default_power_coupling(config.n_s, rho))
 
 
 @dataclass(frozen=True)

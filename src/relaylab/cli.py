@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,6 +60,12 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _usage_error(message: str) -> int:
+    # One ``error:`` line on stderr, whatever line breaks the message carries.
+    print(f"error: {' '.join(message.split())}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
@@ -88,7 +94,7 @@ def curve_to_csv(curve: OutageCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_curve_csv(path: Path, config: SystemConfig | None = None, mode: str = "bound") -> OutageCurve:
+def read_curve_csv(path: Path, config: SystemConfig | None = None) -> OutageCurve:
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
     if not lines or lines[0] != CURVE_HEADER:
         raise ContractViolation(f"{path} is not a curve file (bad header)")
@@ -105,7 +111,7 @@ def read_curve_csv(path: Path, config: SystemConfig | None = None, mode: str = "
                 ci_high=float(ci_high),
             )
         )
-    return OutageCurve(points=tuple(points), mode=mode, config=config)
+    return OutageCurve(points=tuple(points), mode=None, config=config)
 
 
 def parse_sweep_config(path: Path) -> SweepSpec:
@@ -189,8 +195,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
             for r in _parse_float_list(args.mux):
                 rows.append((_fmt(r), _fmt(theory.dmt(args.ns, args.nr, args.nd, r))))
     except (ContractViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(exc))
 
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -211,8 +216,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         spec = parse_sweep_config(Path(args.config))
     except (OSError, ContractViolation, configparser.Error, ValueError, TypeError) as exc:
-        print(f"error: unreadable config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"unreadable config: {exc}")
 
     try:
         seed = spec.master_seed
@@ -231,8 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             overrides["adaptive"] = True
         spec = replace(spec, **overrides)
     except (ContractViolation, ValueError) as exc:
-        print(f"error: invalid sweep spec: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(f"invalid sweep spec: {exc}")
 
     out_dir = Path(args.out_dir)
     started = _utcnow()
@@ -265,17 +268,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _config_for_slope(args: argparse.Namespace, curve_path: Path) -> SystemConfig | None:
-    flags = (args.ns, args.nr, args.nd, args.rate)
-    if any(v is not None for v in flags):
-        if None in flags:
+    flags = {"--ns": args.ns, "--nr": args.nr, "--nd": args.nd, "--rate": args.rate}
+    if any(v is not None for v in flags.values()):
+        if None in flags.values():
             raise ContractViolation("--ns, --nr, --nd and --rate must be given together")
-        if not args.rate > 0:
-            raise ContractViolation(f"--rate must be positive (no outage at rate 0), got {args.rate}")
+        for flag, value in flags.items():
+            if not value > 0:  # also the rate: nothing is in outage at rate 0, so no slope exists
+                raise ContractViolation(f"{flag} must be positive, got {value}")
         return SystemConfig(n_s=args.ns, n_r=args.nr, n_d=args.nd, rate_bpcu=args.rate)
     manifest = Path(args.manifest) if args.manifest else curve_path.parent / "manifest.txt"
-    if args.manifest or manifest.exists():
+    if not (args.manifest or manifest.exists()):
+        return None
+    try:
         return parse_sweep_config(manifest).config
-    return None
+    except (ContractViolation, configparser.Error, ValueError, TypeError) as exc:
+        source = "--manifest" if args.manifest else "sibling manifest"
+        raise ContractViolation(f"{source} {manifest}: {exc}") from exc
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
@@ -283,9 +291,8 @@ def cmd_slope(args: argparse.Namespace) -> int:
     try:
         config = _config_for_slope(args, curve_path)
         curve = read_curve_csv(curve_path, config=config)
-    except (OSError, ContractViolation, configparser.Error, ValueError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ContractViolation, ValueError) as exc:
+        return _usage_error(str(exc))
     try:
         fit = fit_slope(curve, min_count=args.min_count)
     except FitInfeasibleError as exc:
@@ -332,120 +339,114 @@ def _scalar_oracle_gap() -> float:
     return float(max(gaps))
 
 
+# Tolerance of each per-draw check: the worst value over the draws must not exceed it.
+_CHECK_TOLERANCES = {
+    "decomposition_gap": 1e-9,
+    "decomposition_gap_random_b": 1e-9,
+    "ry_gap": 1e-9,
+    "receiver_gap": 1e-9,
+    "power_mismatch": 1e-6,
+    "re_bound_excess": 1e-9,
+}
+
+
+@dataclass(frozen=True)
+class _ShapeCheck:
+    """Battery result for one antenna shape."""
+
+    shape: tuple[int, int, int]
+    worst: dict[str, tuple[float, int]]  # check -> (worst value, its draw; -1 when every value is 0)
+    breaches: list[str]
+    oracle_gap: float | None             # the scalar oracle, for 1x1x1 only
+    ok: bool
+
+
 def run_design_check(
     shapes: list[tuple[int, int, int]],
     draws: int,
     rho: float,
     master_seed: int,
     inject_fault: bool = False,
-) -> tuple[bool, list[str]]:
-    """Identity/power battery over seeded draws; returns (ok, report lines).
+) -> list[_ShapeCheck]:
+    """Identity/power battery over seeded draws, one pass per draw.
 
     Checks, per draw: the two-term error covariance against the direct
     formula (optimal precoder and a random diagonally-loaded one), the
     two forms of R_y, the two forms of the destination receiver, the
-    relay power budget, eigenvalue range and zero-mode rules, and error
-    covariance bounds. A fault injection mode mis-accounts the relay
+    relay power budget, eigenvalue range and zero-mode rules, error
+    covariance bounds and, on the first 100 draws, that no feasible
+    perturbation of the water-filling lowers the second-hop MSE. The
+    random precoder and the perturbations come from a generator keyed by
+    ``(master_seed, draw)``, so every figure of a draw depends on the seed
+    and the draw alone. A fault injection mode mis-accounts the relay
     power to prove the harness catches violations.
     """
-    tol = 1e-9
-    lines = []
-    ok = True
-    rng = np.random.default_rng(master_seed)
-
+    results = []
     for shape in shapes:
         n_s, n_r, n_d = shape
         m = min(n_s, n_r)
-        worst = {
-            "decomposition_gap": (0.0, -1),
-            "decomposition_gap_random_b": (0.0, -1),
-            "ry_gap": (0.0, -1),
-            "receiver_gap": (0.0, -1),
-            "power_mismatch": (0.0, -1),
-            "re_bound_excess": (0.0, -1),
-        }
-        flagged: list[str] = []
-        budget = rho * n_s * (1.2 if inject_fault else 1.0)
-        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho, p_r=budget)
-        report_config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho)
+        budget = rho * n_s
+        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho, p_r=budget * (1.2 if inject_fault else 1.0))
+        values = np.zeros((len(_CHECK_TOLERANCES), draws))
+        breaches: list[str] = []
 
         for draw in range(draws):
+            rng = np.random.default_rng((master_seed, draw))
             chan = sample_realization(config, SeedSpec(master_seed, draw))
             design = build_design(config, chan)
-
-            direct = error_cov_direct(report_config, chan, design.q)
-            decomposed = error_cov_decomposed(report_config, chan, design)
-            gap = _rel_gap(direct.r_e, decomposed.r_e)
-            _track(worst, "decomposition_gap", gap, draw)
+            decomposed = error_cov_decomposed(config, chan, design)
 
             b1 = rng.standard_normal((n_r, m)) + 1j * rng.standard_normal((n_r, m))
             b1[:m, :m] += 0.5 * np.eye(m)
-            b_general = b1 @ design.u_y_tilde.conj().T
-            gap = _rel_gap(
-                error_cov_direct(report_config, chan, b_general @ design.l).r_e,
-                error_cov_decomposed(report_config, chan, design, relay_precoder=b_general).r_e,
-            )
-            _track(worst, "decomposition_gap_random_b", gap, draw)
-
-            _track(worst, "ry_gap", ry_identity_gap(chan.h, rho), draw)
-
-            w_alt = destination_receiver_second_hop(design.r_y, design.b, chan.g)
-            ref = max(float(np.linalg.norm(design.w)), 1e-30)
-            _track(worst, "receiver_gap", float(np.linalg.norm(design.w - w_alt)) / ref, draw)
-
+            b_random = b1 @ design.u_y_tilde.conj().T
             spent = relay_power(chan.h, design.q, rho)
-            if np.any(design.phi > 0):
-                _track(worst, "power_mismatch", abs(spent - rho * n_s) / (rho * n_s), draw)
-            if spent > rho * n_s * (1 + 1e-8):
-                flagged.append(f"draw {draw}: relay power {spent:.6e} exceeds budget {rho * n_s:.6e}")
-
-            if not (np.all(design.lambda_y > 0) and np.all(design.lambda_y < rho)):
-                flagged.append(f"draw {draw}: lambda_y outside (0, rho)")
-            if min(n_r, n_d) < m and np.any(design.phi[min(n_r, n_d):] != 0.0):
-                flagged.append(f"draw {draw}: dead eigenmodes received power")
-            feasibility = np.real(np.trace((design.v_g_tilde @ design.u_y_tilde.conj().T)
-                                           @ design.r_y
-                                           @ (design.v_g_tilde @ design.u_y_tilde.conj().T).conj().T))
-            if not feasibility < rho * m:
-                flagged.append(f"draw {draw}: unit-precoder power {feasibility:.6e} not below rho*M")
-
             eigs = np.linalg.eigvalsh(decomposed.r_e)
             excess = max(float(eigs.max()) / rho - 1.0, 0.0)
-            _track(worst, "re_bound_excess", excess, draw)
+            values[:, draw] = (
+                _rel_gap(error_cov_direct(config, chan, design.q).r_e, decomposed.r_e),
+                _rel_gap(
+                    error_cov_direct(config, chan, b_random @ design.l).r_e,
+                    error_cov_decomposed(config, chan, design, relay_precoder=b_random).r_e,
+                ),
+                ry_identity_gap(chan.h, rho),
+                _rel_gap(design.w, destination_receiver_second_hop(design.r_y, design.b, chan.g)),
+                abs(spent - budget) / budget if np.any(design.phi > 0) else 0.0,
+                excess,
+            )
+
+            if spent > budget * (1 + 1e-8):
+                breaches.append(f"draw {draw}: relay power {spent:.6e} exceeds budget {budget:.6e}")
+            if not (np.all(design.lambda_y > 0) and np.all(design.lambda_y < rho)):
+                breaches.append(f"draw {draw}: lambda_y outside (0, rho)")
+            if min(n_r, n_d) < m and np.any(design.phi[min(n_r, n_d):] != 0.0):
+                breaches.append(f"draw {draw}: dead eigenmodes received power")
+            unit = design.v_g_tilde @ design.u_y_tilde.conj().T
+            feasibility = np.real(np.trace(unit @ design.r_y @ unit.conj().T))
+            if not feasibility < rho * m:
+                breaches.append(f"draw {draw}: unit-precoder power {feasibility:.6e} not below rho*M")
             if eigs.min() <= 0 or excess > 1e-9 or np.any(decomposed.gamma < -1e-9):
-                flagged.append(f"draw {draw}: error covariance out of bounds")
+                breaches.append(f"draw {draw}: error covariance out of bounds")
 
-        for draw in range(min(100, draws)):
-            chan = sample_realization(config, SeedSpec(master_seed, draw))
-            design = build_design(config, chan)
-            if not np.any(design.phi > 0):
-                continue
-            base = second_hop_mse_trace(design.lambda_y, design.lambda_g, design.phi)
-            for _ in range(5):
-                perturbed = np.abs(design.phi + 0.1 * rng.standard_normal(m))
-                perturbed[design.lambda_g == 0] = 0.0
-                scale = math.sqrt(config.p_r / max(np.sum(design.lambda_y * perturbed**2), 1e-300))
-                trial = second_hop_mse_trace(design.lambda_y, design.lambda_g, perturbed * scale)
-                if trial < base * (1 - 1e-7):
-                    flagged.append(f"draw {draw}: feasible perturbation beat the water-filling")
-                    break
+            if draw < 100 and np.any(design.phi > 0):
+                base = second_hop_mse_trace(design.lambda_y, design.lambda_g, design.phi)
+                for _ in range(5):
+                    perturbed = np.abs(design.phi + 0.1 * rng.standard_normal(m))
+                    perturbed[design.lambda_g == 0] = 0.0
+                    scale = math.sqrt(config.p_r / max(np.sum(design.lambda_y * perturbed**2), 1e-300))
+                    trial = second_hop_mse_trace(design.lambda_y, design.lambda_g, perturbed * scale)
+                    if trial < base * (1 - 1e-7):
+                        breaches.append(f"draw {draw}: feasible perturbation beat the water-filling")
+                        break
 
-        shape_ok = not flagged and all(v[0] <= tol for k, v in worst.items() if k != "power_mismatch") \
-            and worst["power_mismatch"][0] <= 1e-6
-        ok = ok and shape_ok
-        lines.append(f"shape {n_s}x{n_r}x{n_d}: {'ok' if shape_ok else 'FAIL'}")
-        for key, (value, draw) in worst.items():
-            lines.append(f"  max {key:<20s} = {value:.3e} (draw {draw})")
-        for msg in flagged[:5]:
-            lines.append(f"  breach: {msg}")
-
-        if shape == (1, 1, 1):
-            gap = _scalar_oracle_gap()
-            lines.append(f"  scalar oracle gap      = {gap:.3e}")
-            if gap > 1e-9:
-                ok = False
-
-    return ok, lines
+        worst = {}
+        for name, row in zip(_CHECK_TOLERANCES, values):
+            at = int(row.argmax())
+            worst[name] = (float(row[at]), at if row[at] > 0 else -1)
+        oracle_gap = _scalar_oracle_gap() if shape == (1, 1, 1) else None
+        ok = (not breaches and all(worst[k][0] <= tol for k, tol in _CHECK_TOLERANCES.items())
+              and (oracle_gap is None or oracle_gap <= 1e-9))
+        results.append(_ShapeCheck(shape=shape, worst=worst, breaches=breaches, oracle_gap=oracle_gap, ok=ok))
+    return results
 
 
 def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -453,27 +454,31 @@ def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / ref
 
 
-def _track(worst: dict, key: str, value: float, draw: int) -> None:
-    if value > worst[key][0]:
-        worst[key] = (value, draw)
-
-
 def cmd_design_check(args: argparse.Namespace) -> int:
     try:
+        flag = "--shapes"
         shapes = _parse_shapes(args.shapes)
         for shape in shapes:
-            SystemConfig(*shape, rho=args.rho)  # rejects non-positive counts and rho
+            SystemConfig(*shape)  # rejects non-positive counts
+        flag = "--rho"
+        SystemConfig(1, 1, 1, rho=args.rho)
+        flag = "--seed"
         SeedSpec(args.seed)
+        flag = "--draws"
         if args.draws < 1:
-            raise ContractViolation(f"--draws must be positive, got {args.draws}")
+            raise ContractViolation(f"must be positive, got {args.draws}")
     except (ContractViolation, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    ok, lines = run_design_check(
-        shapes, args.draws, args.rho, args.seed, inject_fault=args.inject_fault
-    )
-    for line in lines:
-        print(line)
+        return _usage_error(f"{flag}: {exc}")
+    results = run_design_check(shapes, args.draws, args.rho, args.seed, inject_fault=args.inject_fault)
+    for result in results:
+        print(f"shape {'x'.join(map(str, result.shape))}: {'ok' if result.ok else 'FAIL'}")
+        for key, (value, draw) in result.worst.items():
+            print(f"  max {key:<20s} = {value:.3e} (draw {draw})")
+        for msg in result.breaches[:5]:
+            print(f"  breach: {msg}")
+        if result.oracle_gap is not None:
+            print(f"  scalar oracle gap      = {result.oracle_gap:.3e}")
+    ok = all(result.ok for result in results)
     print("design-check:", "PASS" if ok else "FAIL")
     return EXIT_OK if ok else EXIT_RUNTIME
 

@@ -102,7 +102,7 @@ class OutagePoint:
 @dataclass(frozen=True)
 class OutageCurve:
     points: tuple[OutagePoint, ...]
-    mode: str
+    mode: str | None              # None when the curve was read back from CSV
     config: SystemConfig | None   # None when the curve was read without one
 
 
@@ -114,16 +114,16 @@ class SlopeFit:
     d_theory: int | None          # None when the curve carries no config
 
 
-def wilson_interval(successes: int, trials: int, z: float = _Z95) -> tuple[float, float]:
-    """Wilson score interval; well behaved at zero counts."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval; well behaved at zero counts."""
     if trials <= 0:
         raise ContractViolation("trials must be positive")
     if not 0 <= successes <= trials:
         raise ContractViolation("successes must lie in [0, trials]")
     p_hat = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p_hat + z**2 / (2 * trials)) / denom
-    margin = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / trials + z**2 / (4 * trials**2))
+    denom = 1.0 + _Z95**2 / trials
+    center = (p_hat + _Z95**2 / (2 * trials)) / denom
+    margin = (_Z95 / denom) * math.sqrt(p_hat * (1 - p_hat) / trials + _Z95**2 / (4 * trials**2))
     low = 0.0 if successes == 0 else max(0.0, center - margin)
     high = 1.0 if successes == trials else min(1.0, center + margin)
     return low, high

@@ -242,14 +242,8 @@ def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverD
     lambda_y, u_y_tilde = _top_m_psd_eigs(r_y, m, rank_limit=m)
     lambda_g, v_g_tilde = _top_m_psd_eigs(g.conj().T @ g, m, rank_limit=min(n_r, n_d))
 
-    if lambda_y[0] <= 0.0:
-        # Dead first hop: nothing to forward.
-        phi = np.zeros(m)
-        nu = math.inf
-        b = np.zeros((n_r, n_s), dtype=np.complex128)
-    else:
-        phi, nu = waterfill_phi(lambda_y, lambda_g, p_r)
-        b = (v_g_tilde * phi) @ u_y_tilde.conj().T
+    phi, nu = waterfill_phi(lambda_y, lambda_g, p_r)  # a dead hop gives phi = 0, nu = +inf
+    b = (v_g_tilde * phi) @ u_y_tilde.conj().T
     q = b @ l
     w = destination_receiver(h, g, q, rho)
     return TransceiverDesign(

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from relaylab.channel import SystemConfig, sample_realization
-from relaylab.cli import main
+from relaylab.cli import main, run_design_check
 from relaylab.metrics import (
     channel_eigenvalues,
     evaluate_realization,
@@ -25,8 +25,6 @@ from relaylab.simulator import SweepSpec, fit_slope, run_point, run_sweep
 from relaylab.transceiver import (
     build_design,
     error_cov_decomposed,
-    error_cov_direct,
-    ry_identity_gap,
     waterfill_phi,
 )
 
@@ -52,24 +50,18 @@ def test_criterion_1_closed_form_reproduction(capsys):
 
 
 def test_criterion_2_covariance_identity_suite(capsys):
-    """Error covariance decomposition and R_y identity, 500 draws per shape, 1e-9."""
-    worst_cov = 0.0
-    worst_ry = 0.0
-    for shape in SHAPES:
-        n_s, n_r, n_d = shape
-        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=10.0)
-        for draw in range(500):
-            chan = sample_realization(config, SeedSpec(MASTER_SEED, draw))
-            design = build_design(config, chan)
-            direct = error_cov_direct(config, chan, design.q)
-            decomposed = error_cov_decomposed(config, chan, design)
-            gap = float(
-                np.linalg.norm(direct.r_e - decomposed.r_e) / np.linalg.norm(direct.r_e)
-            )
-            worst_cov = max(worst_cov, gap)
-            worst_ry = max(worst_ry, ry_identity_gap(chan.h, config.rho))
+    """Error covariance decomposition and R_y identity, 500 draws per shape, 1e-9.
+
+    Runs the ``design-check`` battery, which holds both identities (and
+    its other checks) at their tolerances on the same draws.
+    """
+    results = run_design_check(SHAPES, 500, 10.0, MASTER_SEED)
+    worst_cov = max(result.worst["decomposition_gap"][0] for result in results)
+    worst_ry = max(result.worst["ry_gap"][0] for result in results)
     assert worst_cov <= 1e-9, f"covariance decomposition gap {worst_cov:.3e}"
     assert worst_ry <= 1e-9, f"R_y identity gap {worst_ry:.3e}"
+    failed = {result.shape: (result.worst, result.breaches[:5]) for result in results if not result.ok}
+    assert not failed, f"design-check battery failed: {failed}"
     with capsys.disabled():
         _report("2 covariance identity suite",
                 f"max gaps: decomposition {worst_cov:.2e}, R_y {worst_ry:.2e}")

@@ -168,6 +168,14 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert "outage_mode = exact" in (out / "manifest.txt").read_text()
 
+    def test_read_back_curve_has_no_mode(self, config_path, tmp_path, capsys):
+        # the CSV does not carry the mode, so reading it back must not invent one
+        out = tmp_path / "exact"
+        main(["simulate", "--config", str(config_path), "--out-dir", str(out),
+              "--mode", "exact", "--trials", "200", "--snr-db", "5"])
+        capsys.readouterr()
+        assert read_curve_csv(out / "curve.csv").mode is None
+
 
 class TestSlopeCommand:
     def _write_power_law_curve(self, path: Path, d: float):
@@ -194,24 +202,26 @@ class TestSlopeCommand:
         assert fit_slope(curve).d_theory is None
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra",  # (the flag the error must name, the arguments)
         [
-            ["--ns", "0", "--nr", "2", "--nd", "2", "--rate", "1"],
-            ["--ns", "2", "--nr", "-1", "--nd", "2", "--rate", "1"],
-            ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "0"],
-            ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "nan"],
-            ["--ns", "2", "--nr", "2", "--nd", "2"],
-            ["--rate", "1"],
-            ["--manifest", "missing.txt"],
-            ["--manifest", "curve.csv"],
+            ("--ns", ["--ns", "0", "--nr", "2", "--nd", "2", "--rate", "1"]),
+            ("--nr", ["--ns", "2", "--nr", "-1", "--nd", "2", "--rate", "1"]),
+            ("--rate", ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "0"]),
+            ("--rate", ["--ns", "2", "--nr", "2", "--nd", "2", "--rate", "nan"]),
+            ("--rate", ["--ns", "2", "--nr", "2", "--nd", "2"]),
+            ("--ns", ["--rate", "1"]),
+            ("--manifest", ["--manifest", "missing.txt"]),
+            ("--manifest", ["--manifest", "curve.csv"]),  # configparser's error spans three lines
         ],
     )
     def test_bad_config_input_exit_2(self, tmp_path, capsys, monkeypatch, extra):
+        flag, argv = extra
         monkeypatch.chdir(tmp_path)
         self._write_power_law_curve(tmp_path / "curve.csv", 1.0)
-        assert main(["slope", "--curve", "curve.csv", *extra]) == EXIT_USAGE
+        assert main(["slope", "--curve", "curve.csv", *argv]) == EXIT_USAGE
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert flag in captured.err
         assert "d_theory" not in captured.out
 
     def test_broken_sibling_manifest_exit_2(self, tmp_path, capsys):
@@ -280,20 +290,31 @@ class TestDesignCheckCommand:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra",  # (the flag the error must name, the arguments)
         [
-            ["--shapes", "2x2x2", "--draws", "0"],
-            ["--shapes", "2x2x2", "--rho", "nan"],
-            ["--shapes", "2x2x2", "--rho", "-1"],
-            ["--shapes", "0x2x2"],
-            ["--shapes", "2x2x2", "--seed", "-1"],
+            ("--draws", ["--shapes", "2x2x2", "--draws", "0"]),
+            ("--rho", ["--shapes", "2x2x2", "--rho", "nan"]),
+            ("--rho", ["--shapes", "2x2x2", "--rho", "-1"]),
+            ("--shapes", ["--shapes", "0x2x2"]),
+            ("--seed", ["--shapes", "2x2x2", "--seed", "-1"]),
         ],
     )
     def test_bad_input_exit_2(self, capsys, extra):
-        assert main(["design-check", *extra]) == EXIT_USAGE
+        flag, argv = extra
+        assert main(["design-check", *argv]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert flag in captured.err
+
+    def test_shape_block_independent_of_earlier_shapes(self, capsys):
+        # every figure of a draw is keyed by (seed, draw), not by the shapes checked before
+        def block(shapes: str) -> str:
+            assert main(["design-check", "--shapes", shapes, "--draws", "50"]) == EXIT_OK
+            out = capsys.readouterr().out
+            return out[out.index("shape 2x2x2"):out.index("design-check:")]
+
+        assert block("2x2x2") == block("1x1x1,2x2x2")
 
 
 class TestConfigParsing:
