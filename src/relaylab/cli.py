@@ -213,29 +213,32 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        return _usage_error(f"--workers must be a positive integer, got {args.workers}")
     try:
         spec = parse_sweep_config(Path(args.config))
     except (OSError, ContractViolation, configparser.Error, ValueError, TypeError) as exc:
         return _usage_error(f"unreadable config: {exc}")
 
-    try:
-        seed = spec.master_seed
-        if SEED_ENV_VAR in os.environ:
-            seed = int(os.environ[SEED_ENV_VAR])
-        if args.seed is not None:
-            seed = args.seed
-        overrides = {"master_seed": seed}
-        if args.mode is not None:
-            overrides["outage_mode"] = args.mode
-        if args.trials is not None:
-            overrides["trials_per_point"] = args.trials
-        if args.snr_db is not None:
-            overrides["snr_grid_db"] = tuple(_parse_float_list(args.snr_db))
-        if args.adaptive:
-            overrides["adaptive"] = True
-        spec = replace(spec, **overrides)
-    except (ContractViolation, ValueError) as exc:
-        return _usage_error(f"invalid sweep spec: {exc}")
+    seed_source, seed = "--seed", args.seed
+    if seed is None and SEED_ENV_VAR in os.environ:
+        seed_source, seed = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
+    overrides = [
+        (seed_source, "master_seed", seed, int),
+        ("--mode", "outage_mode", args.mode, str),
+        ("--trials", "trials_per_point", args.trials, int),
+        ("--snr-db", "snr_grid_db", args.snr_db, lambda text: tuple(_parse_float_list(text))),
+        ("--adaptive", "adaptive", args.adaptive or None, bool),
+    ]
+    # The config parsed to a valid spec, so the first override that
+    # makes it invalid is the one to name.
+    for source, field, value, parse in overrides:
+        if value is None:
+            continue
+        try:
+            spec = replace(spec, **{field: parse(value)})
+        except (ContractViolation, ValueError) as exc:
+            return _usage_error(f"{source}: invalid sweep spec: {exc}")
 
     out_dir = Path(args.out_dir)
     started = _utcnow()

@@ -10,6 +10,10 @@ per point tractable. The ``exact`` and ``separate`` modes take the
 per-stream SINR of the optimal transceiver from one stacked Gram
 eigendecomposition per hop and the closed-form water level
 (``optimal_gamma_batch``), a few times slower per trial than ``bound``.
+
+A point is cut into ``_CHUNK``-trial chunks, the granularity of the
+adaptive stop, and each chunk into one slice per worker, the unit of
+work handed to the process pool.
 """
 
 from __future__ import annotations
@@ -45,9 +49,12 @@ OUTAGE_MODES = ("exact", "bound", "separate")
 # Stream index of (point, trial) = point * POINT_STRIDE + trial.
 POINT_STRIDE = 2**40
 
-# Trials evaluated per task; results are per-trial keyed so the value
-# only affects throughput, never the counts.
+# Trials between adaptive-stop checks. Results are per-trial keyed, so
+# this and the slice floor only affect throughput, never the counts.
 _CHUNK = 32768
+
+# Fewest trials in one pool task (a slice of a chunk).
+_MIN_SLICE = 4096
 
 _Z95 = 1.959963984540054
 
@@ -164,8 +171,19 @@ def _chunk_task(args) -> int:
     return _count_chunk(*args)
 
 
-def _chunk_plan(trials: int, chunk: int) -> list[tuple[int, int]]:
-    return [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
+def _slice_plan(trials: int, workers: int) -> list[tuple[int, int, int]]:
+    """``(chunk_start, start, n)`` of every slice, in trial order.
+
+    Each ``_CHUNK`` is cut into at most ``workers`` contiguous slices of
+    at least ``_MIN_SLICE`` trials (a shorter chunk stays whole).
+    """
+    slices = []
+    for chunk_start in range(0, trials, _CHUNK):
+        n = min(_CHUNK, trials - chunk_start)
+        k = max(1, min(workers, n // _MIN_SLICE))
+        cuts = [chunk_start + n * j // k for j in range(k + 1)]
+        slices += [(chunk_start, a, b - a) for a, b in zip(cuts, cuts[1:])]
+    return slices
 
 
 def run_point(
@@ -183,47 +201,58 @@ def run_point(
     """Count outages at one SNR point; returns ``(outages, trials_run)``.
 
     Deterministic in (config, snr_db, trials, mode, master_seed,
-    point_index) for any worker count. With ``adaptive`` the point stops
-    at the end of the first chunk prefix reaching ``target_outages``,
-    which is likewise scheduling-independent.
+    point_index) for any worker count. ``_CHUNK`` trials are the stop
+    granularity: with ``adaptive`` the point stops at the first chunk
+    boundary where the outage count k reaches ``target_outages``, so its
+    estimate k/n is an inverse-binomial one, biased upward. Slices are
+    the work unit: each chunk is split into one contiguous slice per
+    worker, no shorter than ``_MIN_SLICE`` trials, and a point that
+    comes to a single slice runs in the calling process. An adaptive
+    point starts a later chunk early only while the consumed prefix
+    projects that it will be needed; what is still pending at the stop
+    is cancelled.
     """
     if mode not in OUTAGE_MODES:
         raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}")
+    if workers < 1:
+        raise ContractViolation(f"workers must be a positive integer, got {workers}")
     at_snr = config_at_snr(config, snr_db)
-    plan = _chunk_plan(trials, _CHUNK)
-    tasks = [(at_snr, mode, master_seed, point_index, start, n) for start, n in plan]
+    slices = _slice_plan(trials, workers)
+    tasks = [(at_snr, mode, master_seed, point_index, start, n) for _, start, n in slices]
 
-    outages = 0
-    done = 0
-    if workers <= 1 or len(tasks) == 1:
-        for (start, n), task in zip(plan, tasks):
-            outages += _chunk_task(task)
-            done += n
-            if adaptive and outages >= target_outages:
-                break
-        return outages, done
-
-    def consume_in_order(executor: ProcessPoolExecutor) -> tuple[int, int]:
-        nonlocal outages, done
+    def consume(executor: ProcessPoolExecutor | None) -> tuple[int, int]:
+        # Slices are counted in trial order; without an executor each is
+        # counted here when its turn comes.
         window = 4 * workers
         futures: dict[int, object] = {}
-        submitted = 0
-        for consume in range(len(tasks)):
-            while submitted < min(consume + window, len(tasks)):
-                futures[submitted] = executor.submit(_chunk_task, tasks[submitted])
-                submitted += 1
-            outages += futures.pop(consume).result()
-            done += plan[consume][1]
-            if adaptive and outages >= target_outages:
-                for f in futures.values():
-                    f.cancel()
-                break
+        outages = done = submitted = 0
+        try:
+            for i, (chunk_start, _, n) in enumerate(slices):
+                while executor is not None and submitted < min(i + window, len(slices)) and (
+                    not adaptive
+                    or slices[submitted][0] == chunk_start
+                    # k outages in `done` trials project chunk c (from
+                    # trial s_c) to be needed when k * s_c < target * done
+                    or outages * slices[submitted][0] < target_outages * done
+                ):
+                    futures[submitted] = executor.submit(_chunk_task, tasks[submitted])
+                    submitted += 1
+                outages += futures.pop(i).result() if i in futures else _chunk_task(tasks[i])
+                done += n
+                at_boundary = done == trials or done % _CHUNK == 0
+                if adaptive and at_boundary and outages >= target_outages:
+                    break
+        finally:
+            for future in futures.values():
+                future.cancel()
         return outages, done
 
+    if workers == 1 or len(slices) == 1:
+        return consume(None)
     if _executor is not None:
-        return consume_in_order(_executor)
+        return consume(_executor)
     with ProcessPoolExecutor(max_workers=workers) as executor:
-        return consume_in_order(executor)
+        return consume(executor)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> OutageCurve:
@@ -233,6 +262,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> OutageCurve:
     stream ranges keyed by their index, so results never depend on
     worker count or on other points.
     """
+    if workers < 1:
+        raise ContractViolation(f"workers must be a positive integer, got {workers}")
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:

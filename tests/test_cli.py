@@ -137,6 +137,44 @@ class TestSimulateCommand:
         assert not (tmp_path / "x").exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "case",  # (the flag or variable the error must name, the arguments, RELAYLAB_SEED)
+        [
+            ("--workers", ["--workers", "-3"], None),
+            ("--workers", ["--workers", "0"], None),
+            ("--seed", ["--seed", "-1"], None),
+            ("--seed", ["--seed", str(2**64)], None),
+            ("RELAYLAB_SEED", [], "-1"),
+            ("RELAYLAB_SEED", [], "seven"),
+            ("--trials", ["--trials", "0"], None),
+            ("--snr-db", ["--snr-db", "nan"], None),
+            ("--snr-db", ["--snr-db", "5,x"], None),
+            ("--snr-db", ["--snr-db", "10,5"], None),
+            ("--adaptive", ["--adaptive"], None),  # the config's target_outages = 0 is fine until then
+        ],
+    )
+    def test_bad_override_exit_2(self, tmp_path, capsys, monkeypatch, case):
+        flag, argv, env_seed = case
+        config = tmp_path / "sweep.ini"
+        config.write_text(SMALL_CONFIG + "adaptive = false\ntarget_outages = 0\n")
+        if env_seed is not None:
+            monkeypatch.setenv("RELAYLAB_SEED", env_seed)
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "x"), *argv])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert flag in captured.err
+        assert not (tmp_path / "x").exists()
+
+    def test_seed_flag_beats_bad_env(self, config_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RELAYLAB_SEED", "seven")
+        out = tmp_path / "flag"
+        code = main(["simulate", "--config", str(config_path), "--out-dir", str(out), "--seed", "77"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert "master_seed = 77" in (out / "manifest.txt").read_text()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         capsys.readouterr()

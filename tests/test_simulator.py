@@ -1,5 +1,7 @@
 """Monte Carlo engine: determinism, event inclusion, CI and slope fitting."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,19 @@ from relaylab.simulator import (
 from relaylab.transceiver import optimal_gamma_batch
 
 CFG_222 = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
+CHUNK = 32768  # trials between adaptive-stop checks (simulator._CHUNK)
+
+
+class _RecordingExecutor(ThreadPoolExecutor):
+    """Runs slices on threads and logs the ``(start, n)`` of each one submitted."""
+
+    def __init__(self, workers: int):
+        super().__init__(max_workers=workers)
+        self.submitted: list[tuple[int, int]] = []
+
+    def submit(self, fn, task):
+        self.submitted.append(tuple(task[-2:]))
+        return super().submit(fn, task)
 
 
 def _synthetic_curve(snr_db, p_values, trials=10**6, config=CFG_222):
@@ -139,24 +154,75 @@ class TestRunPoint:
 
     def test_worker_invariance(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
-        serial = run_point(config, 12.0, 100_000, "bound", master_seed=4, workers=1)
-        parallel = run_point(config, 12.0, 100_000, "bound", master_seed=4, workers=2)
-        assert serial == parallel
+        results = [run_point(config, 12.0, 100_000, "bound", master_seed=4, workers=w) for w in (1, 2, 3)]
+        assert results[0] == results[1] == results[2]
 
     def test_adaptive_is_deterministic_across_workers(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
         kw = dict(adaptive=True, target_outages=50)
-        serial = run_point(config, 10.0, 500_000, "bound", master_seed=5, workers=1, **kw)
-        parallel = run_point(config, 10.0, 500_000, "bound", master_seed=5, workers=2, **kw)
-        assert serial == parallel
+        serial, *pooled = [
+            run_point(config, 10.0, 500_000, "bound", master_seed=5, workers=w, **kw) for w in (1, 2, 3)
+        ]
+        assert pooled == [serial, serial]
         assert serial[0] >= 50
         assert serial[1] < 500_000
+
+    @pytest.mark.parametrize(
+        "snr_db,trials,mode,adaptive,stops_after",
+        # 32,768 does not split evenly across 3 workers, and the tail
+        # chunk of the 10-chunk cap (5,000 trials) stays one slice
+        [
+            (10.0, 10 * CHUNK + 5000, "bound", True, CHUNK),                  # stops at chunk 0
+            (30.0, 10 * CHUNK + 5000, "bound", True, 2 * CHUNK),              # stops mid-cap
+            (45.0, 10 * CHUNK + 5000, "bound", True, 10 * CHUNK + 5000),      # runs to the cap
+            (20.0, 3 * CHUNK + 1696, "bound", False, 3 * CHUNK + 1696),       # several chunks
+            (10.0, 20_000, "exact", False, 20_000),                           # one chunk, pooled
+        ],
+    )
+    def test_counts_equal_at_workers_1_2_3(self, snr_db, trials, mode, adaptive, stops_after):
+        kw = dict(adaptive=adaptive, target_outages=200, point_index=1)
+        serial, *pooled = [
+            run_point(CFG_222, snr_db, trials, mode, master_seed=20260808, workers=w, **kw) for w in (1, 2, 3)
+        ]
+        assert pooled == [serial, serial]
+        assert serial[1] == stops_after
+        assert 0 < serial[0] < serial[1]
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ContractViolation):
+            run_point(CFG_222, 10.0, 1000, "bound", master_seed=1, workers=workers)
+        with pytest.raises(ContractViolation):
+            run_sweep(SweepSpec(CFG_222, (10.0,), 1000), workers=workers)
 
     def test_separate_mode_runs(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
         outages, trials = run_point(config, 5.0, 500, "separate", master_seed=6)
         assert trials == 500
         assert 0 < outages < 500
+
+
+class TestScheduler:
+    """Which slices ``run_point`` hands to its executor; each is logged as ``(start, n)``."""
+
+    def test_adaptive_stop_at_chunk_0_starts_no_later_chunk(self):
+        with _RecordingExecutor(2) as executor:
+            outages, trials = run_point(CFG_222, 10.0, 3 * CHUNK, "bound", master_seed=5, workers=2,
+                                        adaptive=True, target_outages=200, _executor=executor)
+        assert outages >= 200 and trials == CHUNK
+        assert executor.submitted == [(0, CHUNK // 2), (CHUNK // 2, CHUNK // 2)]
+
+    def test_single_chunk_split_across_workers(self):
+        with _RecordingExecutor(2) as executor:
+            got = run_point(CFG_222, 10.0, CHUNK, "bound", master_seed=5, workers=2, _executor=executor)
+        assert executor.submitted == [(0, CHUNK // 2), (CHUNK // 2, CHUNK // 2)]
+        assert got == run_point(CFG_222, 10.0, CHUNK, "bound", master_seed=5, workers=1)
+
+    def test_small_point_stays_in_process(self):
+        with _RecordingExecutor(2) as executor:
+            _, trials = run_point(CFG_222, 10.0, 2048, "exact", master_seed=5, workers=2, _executor=executor)
+        assert trials == 2048
+        assert executor.submitted == []
 
 
 class TestRunSweep:
