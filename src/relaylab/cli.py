@@ -183,19 +183,24 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 def cmd_theory(args: argparse.Namespace) -> int:
-    rows: list[tuple[str, ...]] = []
+    for flag, count in (("--ns", args.ns), ("--nr", args.nr), ("--nd", args.nd)):
+        if count < 1:
+            return _usage_error(f"{flag} must be at least 1, got {count}")
+    flag, text = ("--rates", args.rates) if args.rates is not None else ("--mux", args.mux)
     try:
-        if args.rates:
-            header = ("rate_bpcu", "m_bar", "d_drt", "regime")
-            for rate in _parse_float_list(args.rates):
-                pred = theory.predict(args.ns, args.nr, args.nd, rate)
-                rows.append((_fmt(rate), str(pred.m_bar), str(pred.d_drt), pred.regime_note))
-        else:
-            header = ("mux_gain", "d_dmt")
-            for r in _parse_float_list(args.mux):
-                rows.append((_fmt(r), _fmt(theory.dmt(args.ns, args.nr, args.nd, r))))
-    except (ContractViolation, ValueError) as exc:
-        return _usage_error(str(exc))
+        values = _parse_float_list(text)
+    except ValueError as exc:
+        return _usage_error(f"{flag}: {exc}")
+    if not values or not all(0 <= v < math.inf for v in values):
+        return _usage_error(f"{flag} must be a non-empty list of finite, nonnegative values, got {text!r}")
+
+    if args.rates is not None:
+        header = ("rate_bpcu", "m_bar", "d_drt", "regime")
+        preds = [theory.predict(args.ns, args.nr, args.nd, rate) for rate in values]
+        rows = [(_fmt(r), str(p.m_bar), str(p.d_drt), p.regime_note) for r, p in zip(values, preds)]
+    else:
+        header = ("mux_gain", "d_dmt")
+        rows = [(_fmt(r), _fmt(theory.dmt(args.ns, args.nr, args.nd, r))) for r in values]
 
     widths = [max(len(h), *(len(row[i]) for row in rows)) for i, h in enumerate(header)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
@@ -292,6 +297,8 @@ def _config_for_slope(args: argparse.Namespace, curve_path: Path) -> SystemConfi
 def cmd_slope(args: argparse.Namespace) -> int:
     curve_path = Path(args.curve)
     try:
+        if args.min_count < 1:
+            raise ContractViolation(f"--min-count must be at least 1, got {args.min_count}")
         config = _config_for_slope(args, curve_path)
         curve = read_curve_csv(curve_path, config=config)
     except (OSError, ContractViolation, ValueError) as exc:
@@ -491,8 +498,15 @@ def cmd_design_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports its own usage errors as one ``error:`` line, exit 2."""
+
+    def error(self, message: str):
+        raise SystemExit(_usage_error(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relaylab",
         description="MMSE relay transceiver design, outage simulation, and diversity checks",
     )

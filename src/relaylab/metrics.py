@@ -57,15 +57,14 @@ def _clip_gamma(gamma: np.ndarray) -> np.ndarray:
     return np.maximum(gamma, 0.0)
 
 
-def mutual_info_joint(gamma: np.ndarray, bits: bool = True) -> float | np.ndarray:
-    """Rate of jointly-encoded streams, ``(1/2) sum_k log(1 + gamma_k)``.
+def mutual_info_joint(gamma: np.ndarray) -> float | np.ndarray:
+    """Rate of jointly-encoded streams, ``(1/2) sum_k log2(1 + gamma_k)``
+    in bits per channel use.
 
-    Bits per channel use by default, nats with ``bits=False``. Tiny
-    negative SINRs from round-off are clipped to zero. A vector gives a
-    float; a stack (n, M) gives one rate per row.
+    Tiny negative SINRs from round-off are clipped to zero. A vector
+    gives a float; a stack (n, M) gives one rate per row.
     """
-    total = np.sum(np.log1p(_clip_gamma(gamma)), axis=-1)
-    rate = 0.5 * total / math.log(2.0) if bits else 0.5 * total
+    rate = 0.5 * np.sum(np.log1p(_clip_gamma(gamma)), axis=-1) / math.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
 
 

@@ -12,8 +12,9 @@ eigendecomposition per hop and the closed-form water level
 (``optimal_gamma_batch``), a few times slower per trial than ``bound``.
 
 A point is cut into ``_CHUNK``-trial chunks, the granularity of the
-adaptive stop, and each chunk into one slice per worker, the unit of
-work handed to the process pool.
+adaptive stop, and into ``_BLOCK``-trial blocks at fixed offsets, four
+per chunk, the unit of work handed to the process pool. Neither cut
+depends on the worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from . import theory
 from .channel import SystemConfig, config_at_snr, sample_realization_batch
 from .metrics import bound_statistic, mutual_info_joint, outage_separate, outage_threshold
-from .numerics import ContractViolation, gram_eigvals_desc
+from .numerics import ContractViolation, SeedSpec, gram_eigvals_desc
 from .transceiver import optimal_gamma_batch
 
 __all__ = [
@@ -50,11 +51,11 @@ OUTAGE_MODES = ("exact", "bound", "separate")
 POINT_STRIDE = 2**40
 
 # Trials between adaptive-stop checks. Results are per-trial keyed, so
-# this and the slice floor only affect throughput, never the counts.
+# this and the block size only affect throughput, never the counts.
 _CHUNK = 32768
 
-# Fewest trials in one pool task (a slice of a chunk).
-_MIN_SLICE = 4096
+# Trials in one pool task; blocks start at multiples of _BLOCK.
+_BLOCK = 8192
 
 _Z95 = 1.959963984540054
 
@@ -82,8 +83,7 @@ class SweepSpec:
             raise ContractViolation(f"snr_grid_db must be finite, got {grid}")
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation(f"snr_grid_db must be strictly ascending, got {grid}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ContractViolation(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        SeedSpec(self.master_seed)
         if self.trials_per_point < 100:
             raise ContractViolation(
                 f"trials_per_point must be at least 100, got {self.trials_per_point}"
@@ -171,21 +171,6 @@ def _chunk_task(args) -> int:
     return _count_chunk(*args)
 
 
-def _slice_plan(trials: int, workers: int) -> list[tuple[int, int, int]]:
-    """``(chunk_start, start, n)`` of every slice, in trial order.
-
-    Each ``_CHUNK`` is cut into at most ``workers`` contiguous slices of
-    at least ``_MIN_SLICE`` trials (a shorter chunk stays whole).
-    """
-    slices = []
-    for chunk_start in range(0, trials, _CHUNK):
-        n = min(_CHUNK, trials - chunk_start)
-        k = max(1, min(workers, n // _MIN_SLICE))
-        cuts = [chunk_start + n * j // k for j in range(k + 1)]
-        slices += [(chunk_start, a, b - a) for a, b in zip(cuts, cuts[1:])]
-    return slices
-
-
 def run_point(
     config: SystemConfig,
     snr_db: float,
@@ -204,36 +189,43 @@ def run_point(
     point_index) for any worker count. ``_CHUNK`` trials are the stop
     granularity: with ``adaptive`` the point stops at the first chunk
     boundary where the outage count k reaches ``target_outages``, so its
-    estimate k/n is an inverse-binomial one, biased upward. Slices are
-    the work unit: each chunk is split into one contiguous slice per
-    worker, no shorter than ``_MIN_SLICE`` trials, and a point that
-    comes to a single slice runs in the calling process. An adaptive
-    point starts a later chunk early only while the consumed prefix
-    projects that it will be needed; what is still pending at the stop
-    is cancelled.
+    estimate k/n is an inverse-binomial one, biased upward. Blocks are
+    the work unit: ``_BLOCK`` trials from each multiple of ``_BLOCK``,
+    the last one shorter, whatever the worker count, and a point of a
+    single block runs in the calling process. An adaptive point starts
+    a later chunk early only while the consumed prefix projects that it
+    will be needed; what is still pending at the stop is cancelled.
     """
     if mode not in OUTAGE_MODES:
         raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}")
     if workers < 1:
         raise ContractViolation(f"workers must be a positive integer, got {workers}")
+    if not 1 <= trials <= POINT_STRIDE:
+        raise ContractViolation(f"trials must lie in [1, {POINT_STRIDE}], got {trials}")
+    if point_index < 0:
+        raise ContractViolation(f"point_index must be nonnegative, got {point_index}")
+    SeedSpec(master_seed, point_index * POINT_STRIDE + trials - 1)  # the seed and the last stream index
+    if adaptive and target_outages < 1:
+        raise ContractViolation(f"target_outages must be positive, got {target_outages}")
     at_snr = config_at_snr(config, snr_db)
-    slices = _slice_plan(trials, workers)
-    tasks = [(at_snr, mode, master_seed, point_index, start, n) for _, start, n in slices]
+    # (chunk_start, start, n) of every block, in trial order
+    blocks = [(s - s % _CHUNK, s, min(_BLOCK, trials - s)) for s in range(0, trials, _BLOCK)]
+    tasks = [(at_snr, mode, master_seed, point_index, start, n) for _, start, n in blocks]
 
     def consume(executor: ProcessPoolExecutor | None) -> tuple[int, int]:
-        # Slices are counted in trial order; without an executor each is
+        # Blocks are counted in trial order; without an executor each is
         # counted here when its turn comes.
         window = 4 * workers
         futures: dict[int, object] = {}
         outages = done = submitted = 0
         try:
-            for i, (chunk_start, _, n) in enumerate(slices):
-                while executor is not None and submitted < min(i + window, len(slices)) and (
+            for i, (chunk_start, _, n) in enumerate(blocks):
+                while executor is not None and submitted < min(i + window, len(blocks)) and (
                     not adaptive
-                    or slices[submitted][0] == chunk_start
+                    or blocks[submitted][0] == chunk_start
                     # k outages in `done` trials project chunk c (from
                     # trial s_c) to be needed when k * s_c < target * done
-                    or outages * slices[submitted][0] < target_outages * done
+                    or outages * blocks[submitted][0] < target_outages * done
                 ):
                     futures[submitted] = executor.submit(_chunk_task, tasks[submitted])
                     submitted += 1
@@ -247,7 +239,7 @@ def run_point(
                 future.cancel()
         return outages, done
 
-    if workers == 1 or len(slices) == 1:
+    if workers == 1 or len(blocks) == 1:
         return consume(None)
     if _executor is not None:
         return consume(_executor)
@@ -305,6 +297,8 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
     slope); requires three such points. ``d_hat`` is minus the slope of
     log10 p_out against log10 rho.
     """
+    if min_count < 1:
+        raise ContractViolation(f"min_count must be at least 1, got {min_count}")
     points = list(curve.points)
     counts = [p.outages for p in points]
     usable = [i for i, c in enumerate(counts) if c >= min_count]

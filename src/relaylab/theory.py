@@ -37,7 +37,7 @@ _INT_SNAP = 1e-12
 class DiversityPrediction:
     m_bar: int
     d_drt: int          # fixed-rate diversity order
-    d_dmt: float        # diversity at the requested multiplexing gain
+    d_dmt: float        # diversity at multiplexing gain 0
     full_diversity: bool
     regime_note: str
 
@@ -50,16 +50,26 @@ def _ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
+def _require_counts(*counts: int) -> None:
+    if min(counts) < 1:
+        raise ContractViolation(f"antenna counts must be at least 1, got {counts}")
+
+
+def _require_finite_nonnegative(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # false for nan too
+        raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
+
+
 def outage_threshold(n_s: int, m_dim: int, rate_bpcu: float) -> float:
     """Threshold ``m = n_s 2^(-2R/n_s) - (n_s - M)`` the bound statistic is
     compared against; ``m_bar`` is its snapped ceiling."""
+    _require_counts(n_s, m_dim)
+    _require_finite_nonnegative("rate", rate_bpcu)
     return n_s * 2.0 ** (-2.0 * rate_bpcu / n_s) - (n_s - m_dim)
 
 
 def m_bar(n_s: int, m_dim: int, rate_bpcu: float) -> int:
     """ceil( m^+ ) of :func:`outage_threshold`; equals M at zero rate."""
-    if rate_bpcu < 0:
-        raise ContractViolation(f"rate must be nonnegative, got {rate_bpcu}")
     return _ceil_snapped(max(outage_threshold(n_s, m_dim, rate_bpcu), 0.0))
 
 
@@ -70,6 +80,7 @@ def drt(n_s: int, n_r: int, n_d: int, rate_bpcu: float) -> int:
     with M = min(n_s, n_r). Zero when the rate is high enough that
     ``m_bar`` vanishes: outage then never decays.
     """
+    _require_counts(n_s, n_r, n_d)
     m = min(n_s, n_r)
     mb = m_bar(n_s, m, rate_bpcu)
     first = mb * (n_r + n_s - 2 * m + mb)
@@ -82,8 +93,8 @@ def dmt(n_s: int, n_r: int, n_d: int, r_mult: float) -> float:
 
     (n_r - n_s + 1)(1 - 2r/n_s)^+ when n_s <= min(n_r, n_d), else 0.
     """
-    if r_mult < 0:
-        raise ContractViolation(f"multiplexing gain must be nonnegative, got {r_mult}")
+    _require_counts(n_s, n_r, n_d)
+    _require_finite_nonnegative("multiplexing gain", r_mult)
     if n_s > min(n_r, n_d):
         return 0.0
     return (n_r - n_s + 1) * max(1.0 - 2.0 * r_mult / n_s, 0.0)
@@ -98,6 +109,7 @@ def classify_regime(n_s: int, m_dim: int, rate_bpcu: float) -> str:
     """
     if n_s < 1 or not (1 <= m_dim <= n_s):
         raise ContractViolation(f"invalid antenna counts n_s={n_s}, m_dim={m_dim}")
+    _require_finite_nonnegative("rate", rate_bpcu)
     if n_s == 1:
         return REGIME_FULL_DIVERSITY
     if rate_bpcu < 0.5 * n_s * math.log2(n_s / (n_s - 1)):
@@ -107,14 +119,15 @@ def classify_regime(n_s: int, m_dim: int, rate_bpcu: float) -> str:
     return REGIME_INTERMEDIATE
 
 
-def predict(n_s: int, n_r: int, n_d: int, rate_bpcu: float, r_mult: float = 0.0) -> DiversityPrediction:
-    """Bundle all closed-form predictions for one configuration."""
+def predict(n_s: int, n_r: int, n_d: int, rate_bpcu: float) -> DiversityPrediction:
+    """Bundle all closed-form predictions for one configuration, the DMT
+    at multiplexing gain 0 among them."""
     m = min(n_s, n_r)
     d = drt(n_s, n_r, n_d, rate_bpcu)
     return DiversityPrediction(
         m_bar=m_bar(n_s, m, rate_bpcu),
         d_drt=d,
-        d_dmt=dmt(n_s, n_r, n_d, r_mult),
+        d_dmt=dmt(n_s, n_r, n_d, 0.0),
         full_diversity=d == n_r * min(n_s, n_d),
         regime_note=classify_regime(n_s, m, rate_bpcu),
     )

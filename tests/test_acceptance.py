@@ -129,6 +129,7 @@ def test_criterion_4_jensen_and_inclusion_suite(capsys):
                 f"{checked} draws, min (mi_exact - bound) = {min_slack:.3e}")
 
 
+@pytest.mark.slow
 def test_criterion_5_high_rate_slope(capsys):
     """2x2x2 at R = 2: fitted slope within +-0.3 of the closed form d = 1."""
     config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
@@ -148,6 +149,7 @@ def test_criterion_5_high_rate_slope(capsys):
         _report("5 high-rate diversity slope", f"d_hat = {fit.d_hat:.3f} vs d = 1")
 
 
+@pytest.mark.slow
 def test_criterion_6_low_rate_slope(capsys):
     """2x2x2 at R = 0.42, adaptive up to 1e8 trials/point over 5-20 dB.
 

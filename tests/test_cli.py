@@ -79,6 +79,54 @@ class TestTheoryCommand:
         assert main(["theory", "--ns", "2", "--nr", "2", "--nd", "2", "--rates", "-1"]) == EXIT_USAGE
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "case",  # (the flag the error must name, the arguments after theory)
+        [
+            ("--ns", ["--ns", "0", "--nr", "2", "--nd", "2", "--rates", "1"]),
+            ("--ns", ["--ns", "-1", "--nr", "2", "--nd", "2", "--rates", "1"]),
+            ("--nr", ["--ns", "2", "--nr", "0", "--nd", "2", "--mux", "0.5"]),
+            ("--nd", ["--ns", "2", "--nr", "2", "--nd", "-3", "--rates", "1"]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", ","]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", ""]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", "nan"]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", "inf"]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", "1,x"]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", "-1"]),
+            ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "nan"]),
+            ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "inf"]),
+            ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "-0.5"]),
+        ],
+    )
+    def test_bad_input_exit_2(self, capsys, case):
+        flag, argv = case
+        assert main(["theory", *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert flag in captured.err
+
+
+class TestArgparseErrors:
+    @pytest.mark.parametrize(
+        "case",  # (the flag the error must name, the arguments)
+        [
+            ("--draws", ["design-check", "--shapes", "2x2x2", "--draws", "abc"]),
+            ("--rates", ["theory", "--ns", "2", "--nr", "2", "--nd", "2"]),
+            ("--out-dir", ["simulate", "--config", "sweep.ini"]),
+            ("--mode", ["simulate", "--config", "sweep.ini", "--out-dir", "x", "--mode", "oracle"]),
+            ("--min-count", ["slope", "--curve", "curve.csv", "--min-count", "x"]),
+        ],
+    )
+    def test_one_error_line(self, capsys, case):
+        flag, argv = case
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert flag in captured.err
+
 
 class TestSimulateCommand:
     def test_writes_curve_and_manifest(self, config_path, tmp_path, capsys):
@@ -250,6 +298,8 @@ class TestSlopeCommand:
             ("--ns", ["--rate", "1"]),
             ("--manifest", ["--manifest", "missing.txt"]),
             ("--manifest", ["--manifest", "curve.csv"]),  # configparser's error spans three lines
+            ("--min-count", ["--min-count", "0"]),
+            ("--min-count", ["--min-count", "-5"]),
         ],
     )
     def test_bad_config_input_exit_2(self, tmp_path, capsys, monkeypatch, extra):

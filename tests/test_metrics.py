@@ -43,9 +43,6 @@ class TestMutualInfo:
             0.5 * math.log2(4.0 / 3.0)
         )
 
-    def test_nats_option(self):
-        assert mutual_info_joint(np.array([3.0]), bits=False) == pytest.approx(0.5 * math.log(4.0))
-
     def test_clips_roundoff(self):
         assert mutual_info_joint(np.array([-1e-10])) == 0.0
         with pytest.raises(ContractViolation):

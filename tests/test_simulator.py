@@ -24,10 +24,11 @@ from relaylab.transceiver import optimal_gamma_batch
 
 CFG_222 = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
 CHUNK = 32768  # trials between adaptive-stop checks (simulator._CHUNK)
+BLOCK = 8192  # trials in one pool task (simulator._BLOCK)
 
 
 class _RecordingExecutor(ThreadPoolExecutor):
-    """Runs slices on threads and logs the ``(start, n)`` of each one submitted."""
+    """Runs blocks on threads and logs the ``(start, n)`` of each one submitted."""
 
     def __init__(self, workers: int):
         super().__init__(max_workers=workers)
@@ -169,8 +170,8 @@ class TestRunPoint:
 
     @pytest.mark.parametrize(
         "snr_db,trials,mode,adaptive,stops_after",
-        # 32,768 does not split evenly across 3 workers, and the tail
-        # chunk of the 10-chunk cap (5,000 trials) stays one slice
+        # the 4 blocks of a chunk do not split evenly across 3 workers,
+        # and the tail of the 10-chunk cap (5,000 trials) is one short block
         [
             (10.0, 10 * CHUNK + 5000, "bound", True, CHUNK),                  # stops at chunk 0
             (30.0, 10 * CHUNK + 5000, "bound", True, 2 * CHUNK),              # stops mid-cap
@@ -195,6 +196,24 @@ class TestRunPoint:
         with pytest.raises(ContractViolation):
             run_sweep(SweepSpec(CFG_222, (10.0,), 1000), workers=workers)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(trials=0),
+            dict(trials=-5),
+            dict(master_seed=-1),
+            dict(master_seed=2**64),
+            dict(point_index=-1),
+            dict(point_index=2**24),  # its streams pass 2**64
+            dict(adaptive=True, target_outages=0),
+            dict(adaptive=True, target_outages=-3),
+        ],
+    )
+    def test_rejects_bad_input(self, kwargs):
+        args = dict(trials=1000, master_seed=1, point_index=0) | kwargs
+        with pytest.raises(ContractViolation):
+            run_point(CFG_222, 10.0, mode="bound", **args)
+
     def test_separate_mode_runs(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
         outages, trials = run_point(config, 5.0, 500, "separate", master_seed=6)
@@ -203,20 +222,29 @@ class TestRunPoint:
 
 
 class TestScheduler:
-    """Which slices ``run_point`` hands to its executor; each is logged as ``(start, n)``."""
+    """Which blocks ``run_point`` hands to its executor; each is logged as ``(start, n)``."""
 
     def test_adaptive_stop_at_chunk_0_starts_no_later_chunk(self):
         with _RecordingExecutor(2) as executor:
             outages, trials = run_point(CFG_222, 10.0, 3 * CHUNK, "bound", master_seed=5, workers=2,
                                         adaptive=True, target_outages=200, _executor=executor)
         assert outages >= 200 and trials == CHUNK
-        assert executor.submitted == [(0, CHUNK // 2), (CHUNK // 2, CHUNK // 2)]
+        assert executor.submitted == [(s, BLOCK) for s in range(0, CHUNK, BLOCK)]
 
-    def test_single_chunk_split_across_workers(self):
+    def test_single_chunk_is_four_blocks(self):
         with _RecordingExecutor(2) as executor:
             got = run_point(CFG_222, 10.0, CHUNK, "bound", master_seed=5, workers=2, _executor=executor)
-        assert executor.submitted == [(0, CHUNK // 2), (CHUNK // 2, CHUNK // 2)]
+        assert executor.submitted == [(0, BLOCK), (BLOCK, BLOCK), (2 * BLOCK, BLOCK), (3 * BLOCK, BLOCK)]
         assert got == run_point(CFG_222, 10.0, CHUNK, "bound", master_seed=5, workers=1)
+
+    def test_blocks_independent_of_workers(self):
+        trials = 3 * CHUNK + 1696
+        plans = []
+        for workers in (2, 3):
+            with _RecordingExecutor(workers) as executor:
+                run_point(CFG_222, 20.0, trials, "bound", master_seed=5, workers=workers, _executor=executor)
+            plans.append(executor.submitted)
+        assert plans[0] == plans[1] == [(s, min(BLOCK, trials - s)) for s in range(0, trials, BLOCK)]
 
     def test_small_point_stays_in_process(self):
         with _RecordingExecutor(2) as executor:
@@ -271,6 +299,12 @@ class TestFitSlope:
         with pytest.raises(FitInfeasibleError) as info:
             fit_slope(curve)
         assert "usable" in str(info.value)
+
+    @pytest.mark.parametrize("min_count", [0, -5])
+    def test_min_count_below_one_rejected(self, min_count):
+        curve = _synthetic_curve([10.0, 15.0, 20.0], [1e-2, 1e-3, 1e-4])
+        with pytest.raises(ContractViolation):
+            fit_slope(curve, min_count=min_count)
 
     def test_window_drops_starved_and_low_snr_points(self):
         snr = [5.0, 10.0, 15.0, 20.0, 25.0]

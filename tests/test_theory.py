@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from relaylab.numerics import ContractViolation
 from relaylab.theory import (
     REGIME_FULL_DIVERSITY,
     REGIME_HIGH_RATE,
@@ -11,6 +12,7 @@ from relaylab.theory import (
     dmt,
     drt,
     m_bar,
+    outage_threshold,
     predict,
 )
 
@@ -128,3 +130,35 @@ class TestPredict:
         assert pred.full_diversity
         assert pred.regime_note == REGIME_FULL_DIVERSITY
         assert pred.d_dmt == 1.0
+
+
+class TestRejectsBadInput:
+    @pytest.mark.parametrize(
+        "fn,args",
+        [
+            (drt, (0, 2, 2, 1.0)),
+            (drt, (2, 2, -3, 1.0)),
+            (drt, (2, 2, 2, float("nan"))),
+            (drt, (2, 2, 2, float("inf"))),
+            (dmt, (0, 2, 2, 0.5)),
+            (dmt, (2, 0, 2, 0.5)),
+            (dmt, (2, 2, 2, float("nan"))),
+            (dmt, (2, 2, 2, float("inf"))),
+            (dmt, (2, 2, 2, -0.5)),
+            (m_bar, (0, 1, 1.0)),
+            (m_bar, (2, 0, 1.0)),
+            (m_bar, (2, 2, float("nan"))),
+            (m_bar, (2, 2, -1.0)),
+            (predict, (2, 2, 0, 1.0)),
+            (predict, (-1, 2, 2, 1.0)),
+            (predict, (2, 2, 2, float("inf"))),
+            (classify_regime, (2, 2, float("nan"))),
+            (classify_regime, (2, 2, -1.0)),
+            (outage_threshold, (0, 1, 1.0)),
+            (outage_threshold, (2, 2, float("nan"))),
+        ],
+        ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)),
+    )
+    def test_contract_violation(self, fn, args):
+        with pytest.raises(ContractViolation):
+            fn(*args)
