@@ -61,7 +61,7 @@ class SystemConfig:
     def __post_init__(self):
         for name in ("n_s", "n_r", "n_d"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
         # Written so that NaN fails: every comparison with NaN is False.
         if not (math.isfinite(self.rho) and self.rho > 0):

@@ -6,7 +6,8 @@ and every (stream, lane) pair owns a disjoint slice of the counter space,
 so draws are reproducible for any execution order and any number of
 workers. A vectorised Philox implementation (validated word-for-word
 against ``numpy.random.Philox``) lets millions of independently-keyed
-trials be sampled in single array operations.
+trials be sampled in single array operations. Gram spectra have one
+route, :func:`gram_eigvals_desc`; a private trace helper screens for it.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class SeedSpec:
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
             v = getattr(self, name)
-            if not (0 <= int(v) <= _MAX_U64):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v <= _MAX_U64:
                 raise ContractViolation(f"{name} must be a 64-bit unsigned integer, got {v!r}")
 
 
@@ -286,6 +287,42 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     if k <= order:
         return values[:, :k]
     return np.pad(values, ((0, 0), (0, k - order)))
+
+
+def _gram_inv_trace(mats: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(tr((I + rho A)^-1), tr A)`` for the smaller Gram ``A`` of each matrix
+    of an (n, r, c) stack, in real arithmetic on (n,) planes, any order:
+    the Gram entries, the Cholesky factor L of I + rho A (eigenvalues >= 1),
+    then tr((I + rho A)^-1) = ||L^-1||_F^2. No LAPACK call.
+    """
+    if mats.shape[1] > mats.shape[2]:
+        mats = mats.swapaxes(1, 2)  # conjugates the Gram; the spectrum is unchanged
+    k = mats.shape[1]
+    re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (mats.real, mats.imag))
+    trace = (re**2 + im**2).sum(axis=(0, 1))
+    lr, li, inv_d = {}, {}, []  # L below its diagonal, 1 / its diagonal
+    for j in range(k):
+        for i in range(j, k):
+            # (I + rho A)_ij - sum_p L_ip conj(L_jp)
+            sr = rho * (re[i] * re[j] + im[i] * im[j]).sum(axis=0)
+            si = rho * (im[i] * re[j] - re[i] * im[j]).sum(axis=0)
+            for p in range(j):
+                sr -= lr[i, p] * lr[j, p] + li[i, p] * li[j, p]
+                si -= li[i, p] * lr[j, p] - lr[i, p] * li[j, p]
+            if i == j:
+                inv_d.append(1.0 / np.sqrt(1.0 + sr))
+            else:
+                lr[i, j], li[i, j] = sr * inv_d[j], si * inv_d[j]
+    del re, im  # peak RSS: the planes are dead from here
+    inv_trace = 0.0
+    for j in range(k):  # column j of L^-1 by forward substitution
+        xr, xi = {j: inv_d[j]}, {j: 0.0}
+        for i in range(j + 1, k):
+            sr = sum(lr[i, p] * xr[p] - li[i, p] * xi[p] for p in range(j, i))
+            si = sum(lr[i, p] * xi[p] + li[i, p] * xr[p] for p in range(j, i))
+            xr[i], xi[i] = -sr * inv_d[i], -si * inv_d[i]
+        inv_trace = inv_trace + sum(xr[i] ** 2 + xi[i] ** 2 for i in range(j, k))
+    return inv_trace, trace
 
 
 def solve_hermitian_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -47,6 +47,12 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             SystemConfig(n_s=1, n_r=1, n_d=1, rate_bpcu=-0.1)
 
+    @pytest.mark.parametrize("value", [True, 2.0, "2", np.bool_(True)])
+    @pytest.mark.parametrize("field", ["n_s", "n_r", "n_d"])
+    def test_antenna_counts_must_be_integers(self, field, value):
+        with pytest.raises(ContractViolation):
+            SystemConfig(**{"n_s": 1, "n_r": 1, "n_d": 1, field: value})
+
     @pytest.mark.parametrize("field", ["rho", "p_r", "rate_bpcu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, field, value):

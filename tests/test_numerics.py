@@ -12,6 +12,7 @@ from relaylab.numerics import (
     ContractViolation,
     NumericalRankError,
     SeedSpec,
+    _gram_inv_trace,
     eig_hermitian_desc,
     gram_eigvals_desc,
     philox4x64_block,
@@ -83,6 +84,15 @@ class TestPhilox:
             SeedSpec(-1, 0)
         with pytest.raises(ContractViolation):
             SeedSpec(0, 2**64)
+
+    @pytest.mark.parametrize("value", [1.5, "5", True, np.bool_(True), None])
+    @pytest.mark.parametrize("field", ["master_seed", "stream_index"])
+    def test_seedspec_rejects_non_integers(self, field, value):
+        with pytest.raises(ContractViolation):
+            SeedSpec(**{"master_seed": 0, field: value})
+
+    def test_seedspec_accepts_numpy_integers(self):
+        assert SeedSpec(np.uint64(2**64 - 1), np.int64(3)).master_seed == 2**64 - 1
 
     def test_shape_validation(self):
         with pytest.raises(ContractViolation):
@@ -162,6 +172,24 @@ class TestGramEigvals:
         batch = gram_eigvals_desc(mats, 4)
         for i in range(mats.shape[0]):
             assert np.array_equal(gram_eigvals_desc(mats[i][None], 4)[0], batch[i])
+
+
+class TestGramInvTrace:
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 3), (3, 5), (5, 4), (4, 4), (6, 6)])
+    @pytest.mark.parametrize("rho", [1.0, 316.0, 1e8, 1e12])
+    def test_matches_spectrum(self, shape, rho):
+        # Rank-deficient and zero matrices included. The gap to the
+        # eigvalsh route is measured in units of eps k (1 + rho tr A),
+        # the unit of the bound screen's margin (1e3 units); under 0.5
+        # unit is seen on these stacks.
+        mats = TestGramEigvals._stack(*shape)
+        k = min(shape)
+        lam = gram_eigvals_desc(mats, k)
+        inv_trace, trace = _gram_inv_trace(mats, rho)
+        unit = np.finfo(float).eps * k * (1.0 + rho * trace)
+        assert np.all(np.abs(inv_trace - np.sum(1.0 / (1.0 + rho * lam), axis=1)) <= 10 * unit)
+        assert np.allclose(trace, lam.sum(axis=1), rtol=1e-12, atol=0)
+        assert inv_trace[-1] == min(shape)  # the zero matrix: tr(I^-1), exactly
 
 
 class TestSolve:

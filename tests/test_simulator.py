@@ -5,9 +5,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from relaylab import simulator
 from relaylab.channel import SystemConfig, config_at_snr, sample_realization, sample_realization_batch
-from relaylab.metrics import evaluate_realization, mutual_info_joint
-from relaylab.numerics import ContractViolation, SeedSpec
+from relaylab.metrics import bound_statistic, evaluate_realization, mutual_info_joint, outage_threshold
+from relaylab.numerics import ContractViolation, SeedSpec, gram_eigvals_desc
 from relaylab.simulator import (
     POINT_STRIDE,
     FitInfeasibleError,
@@ -102,6 +103,12 @@ class TestSweepSpecValidation:
     def test_grid_must_be_finite(self, value):
         with pytest.raises(ContractViolation):
             SweepSpec(CFG_222, (10.0, value), 1000)
+
+    @pytest.mark.parametrize("seed", [1.5, "5", True, None])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to pass and then fail inside numpy's SeedSequence
+        with pytest.raises(ContractViolation):
+            SweepSpec(CFG_222, (10.0,), 1000, master_seed=seed)
 
 
 class TestRunPoint:
@@ -219,6 +226,111 @@ class TestRunPoint:
         outages, trials = run_point(config, 5.0, 500, "separate", master_seed=6)
         assert trials == 500
         assert 0 < outages < 500
+
+
+def _direct_count(config, h, g):
+    # the unscreened route: both Gram spectra, the statistic, the threshold
+    m_dim = config.m_dim
+    statistic = bound_statistic(gram_eigvals_desc(h, m_dim), gram_eigvals_desc(g, m_dim), config.rho)
+    return int(np.count_nonzero(statistic >= outage_threshold(config.n_s, m_dim, config.rate_bpcu)))
+
+
+class _SpectrumRows:
+    """Wraps ``simulator.gram_eigvals_desc`` and counts the rows sent to it."""
+
+    def __init__(self, monkeypatch):
+        self.rows = 0
+        monkeypatch.setattr(simulator, "gram_eigvals_desc", self)
+
+    def __call__(self, mats, k):
+        self.rows += mats.shape[0]
+        return gram_eigvals_desc(mats, k)
+
+
+class TestBoundScreen:
+    """``_count_outages_bound`` decides most draws from tr((I + rho A)^-1)
+    and must agree with the direct eigenvalue count draw set for draw set."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        # n_s > n_r; r_g < M (padded second hop); r_g > M (truncated); order 6
+        [(3, 3, 3), (4, 4, 4), (5, 3, 3), (4, 4, 2), (3, 4, 5), (6, 6, 6)],
+    )
+    def test_counts_equal_direct_route(self, shape):
+        # 85 (rate, SNR) cases of 2,048 draws on each of six shapes: 1.04e6 draws
+        h, g = sample_realization_batch(SystemConfig(*shape), 41, np.arange(2048, dtype=np.uint64))
+        mismatches = []
+        for rate in (0.0, 0.3, 1.0, 4.0, 8.0):
+            for snr_db in range(0, 81, 5):
+                config = config_at_snr(SystemConfig(*shape, rate_bpcu=rate), snr_db)
+                got, want = _count_outages_bound(config, h, g), _direct_count(config, h, g)
+                if got != want:
+                    mismatches.append((rate, snr_db, got, want))
+        assert mismatches == []
+
+    def test_most_draws_skip_the_spectrum(self, monkeypatch):
+        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=4.0), 25.0)
+        h, g = sample_realization_batch(config, 42, np.arange(8192, dtype=np.uint64))
+        spectrum = _SpectrumRows(monkeypatch)
+        _count_outages_bound(config, h, g)
+        assert spectrum.rows / 2 < 0.01 * 8192  # one row per hop; under 1% of the draws
+
+    def test_dead_first_hop_is_screened_outage(self, monkeypatch):
+        # S = M exactly, above m at any positive rate: decided by the trace alone
+        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=1.0), 20.0)
+        _, g = sample_realization_batch(config, 43, np.arange(64, dtype=np.uint64))
+        h = np.zeros_like(g)
+        spectrum = _SpectrumRows(monkeypatch)
+        assert _count_outages_bound(config, h, g) == 64
+        assert spectrum.rows == 0
+
+    def test_zero_rate_outages_come_from_the_spectrum(self, monkeypatch):
+        # m = M bounds t_h from above, so no draw is screened into outage;
+        # the dead-first-hop draws have S = m exactly and are outages
+        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=0.0), 0.0)
+        h, g = sample_realization_batch(config, 44, np.arange(256, dtype=np.uint64))
+        h[::2] = 0.0
+        want = _direct_count(config, h, g)
+        spectrum = _SpectrumRows(monkeypatch)
+        assert _count_outages_bound(config, h, g) == want >= 128
+        assert spectrum.rows >= 2 * want
+
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 4, 5)])
+    def test_draws_at_the_threshold_fall_through(self, shape, monkeypatch):
+        # scale each first hop so that its S lies within 1e-12 of m
+        config = config_at_snr(SystemConfig(*shape, rate_bpcu=2.0), 20.0)
+        m_dim, rho, n = config.m_dim, config.rho, 128
+        m = outage_threshold(config.n_s, m_dim, config.rate_bpcu)
+        h, g = sample_realization_batch(config, 45, np.arange(n, dtype=np.uint64))
+        lam_h, lam_g = gram_eigvals_desc(h, m_dim), gram_eigvals_desc(g, m_dim)
+        lo, hi = np.full(n, 1e-6), np.full(n, 1e6)  # S falls as the scale c grows
+        for _ in range(200):
+            c = np.sqrt(lo * hi)
+            above = bound_statistic(c[:, None] ** 2 * lam_h, lam_g, rho) >= m
+            lo, hi = np.where(above, c, lo), np.where(above, hi, c)
+        h = h * np.where(np.arange(n) % 2 == 0, lo, hi)[:, None, None]
+        statistic = bound_statistic(gram_eigvals_desc(h, m_dim), lam_g, rho)
+        assert np.all(np.abs(statistic - m) < 1e-12)
+        want = _direct_count(config, h, g)
+        spectrum = _SpectrumRows(monkeypatch)
+        assert _count_outages_bound(config, h, g) == want
+        assert spectrum.rows == 2 * n
+        assert 0 < want < n
+
+    @pytest.mark.parametrize(
+        "shape,rate,grid,outages",
+        [
+            ((4, 4, 4), 4.0, (10.0, 15.0, 20.0), (7238, 863, 75)),
+            ((3, 4, 5), 1.0, (-2.0, -1.0, 0.0), (3689, 805, 101)),
+        ],
+    )
+    def test_pinned_counts(self, shape, rate, grid, outages):
+        # Counts of the unscreened eigvalsh route. A change to LAPACK, the
+        # spectrum route, the statistic or the screen that flips one of
+        # them flips published curves: it ships as a versioned results
+        # change that lists every flipped count, not as an edit here.
+        spec = SweepSpec(SystemConfig(*shape, rate_bpcu=rate), grid, 16384, master_seed=20260808)
+        assert tuple(p.outages for p in run_sweep(spec).points) == outages
 
 
 class TestScheduler:
