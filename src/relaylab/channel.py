@@ -63,6 +63,11 @@ class SystemConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
                 raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
+        for name in ("rho", "p_r", "rate_bpcu"):
+            v = getattr(self, name)
+            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            if not (real or (name == "p_r" and v is None)):  # p_r None takes the default below
+                raise ContractViolation(f"{name} must be a real number, got {v!r}")
         # Written so that NaN fails: every comparison with NaN is False.
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise ContractViolation(f"rho must be positive and finite, got {self.rho}")

@@ -121,13 +121,18 @@ def parse_sweep_config(path: Path) -> SweepSpec:
         raise ContractViolation(f"config {path} must contain [system] and [sweep] sections")
     sys_sec = parser["system"]
     sweep = parser["sweep"]
+    required = {"system": ("n_s", "n_r", "n_d", "rate_bpcu"), "sweep": ("snr_grid_db", "trials_per_point")}
+    for name, keys in required.items():
+        missing = [key for key in keys if key not in parser[name]]
+        if missing:
+            raise ContractViolation(f"config {path}: [{name}] is missing {', '.join(missing)}")
     config = SystemConfig(
         n_s=sys_sec.getint("n_s"),
         n_r=sys_sec.getint("n_r"),
         n_d=sys_sec.getint("n_d"),
         rate_bpcu=sys_sec.getfloat("rate_bpcu"),
     )
-    grid = tuple(float(x) for x in sweep.get("snr_grid_db", "").split(","))
+    grid = tuple(float(x) for x in sweep["snr_grid_db"].split(","))
     return SweepSpec(
         config=config,
         snr_grid_db=grid,

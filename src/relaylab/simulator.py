@@ -3,7 +3,7 @@
 Trials are independently keyed: trial ``t`` of grid point ``i`` owns the
 random stream ``i * POINT_STRIDE + t``, so outage counts are invariant
 under chunking, scheduling, and worker count, and adding grid points
-never perturbs existing ones. Every mode is vectorised over a chunk of
+never perturbs existing ones. Every mode is vectorised over a batch of
 trials. The ``bound`` mode needs only the two hop Gram spectra per trial
 (closed-form eigenvalues for orders 1 and 2), which makes 1e7-1e8 trials
 per point tractable; from order 3 a Cholesky trace screen spares most
@@ -14,8 +14,10 @@ stacked Gram eigendecomposition per hop and the closed-form water level
 
 A point is cut into ``_CHUNK``-trial chunks, the granularity of the
 adaptive stop, and into ``_BLOCK``-trial blocks at fixed offsets, four
-per chunk, the unit of work handed to the process pool. Neither cut
-depends on the worker count.
+per chunk, the unit of work handed to the process pool. A block is
+sampled and counted in sub-batches of at most ``_SUB_ENTRIES`` complex
+entries of the larger hop, the unit of compute, so its temporaries stay
+cache-sized. No cut depends on the worker count.
 """
 
 from __future__ import annotations
@@ -58,11 +60,21 @@ _CHUNK = 32768
 # Trials in one pool task; blocks start at multiples of _BLOCK.
 _BLOCK = 8192
 
+# Complex entries of the larger hop sampled and counted at once: 2,048
+# trials of a 4x4x4 block, a whole 2x2x2 block. A whole 4x4x4 block's
+# sampling temporaries, 0.5-2 MB each, spill a 2 MB L2 cache.
+_SUB_ENTRIES = 32768
+
 _Z95 = 1.959963984540054
 
 
 class FitInfeasibleError(RuntimeError):
     """Too few usable points to fit a diversity slope."""
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,8 @@ class SweepSpec:
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation(f"snr_grid_db must be strictly ascending, got {grid}")
         SeedSpec(self.master_seed)
+        _require_int("trials_per_point", self.trials_per_point)
+        _require_int("target_outages", self.target_outages)
         if self.trials_per_point < 100:
             raise ContractViolation(
                 f"trials_per_point must be at least 100, got {self.trials_per_point}"
@@ -178,11 +192,16 @@ def _count_outages_designed(config: SystemConfig, h: np.ndarray, g: np.ndarray, 
 def _count_chunk(
     config: SystemConfig, mode: str, master_seed: int, point_index: int, start: int, n: int
 ) -> int:
-    streams = point_index * POINT_STRIDE + np.arange(start, start + n, dtype=np.uint64)
-    h, g = sample_realization_batch(config, master_seed, streams)
-    if mode == "bound":
-        return _count_outages_bound(config, h, g)
-    return _count_outages_designed(config, h, g, mode)
+    step = max(1, _SUB_ENTRIES // (config.n_r * max(config.n_s, config.n_d)))
+    outages = 0
+    for s in range(start, start + n, step):
+        streams = point_index * POINT_STRIDE + np.arange(s, min(s + step, start + n), dtype=np.uint64)
+        h, g = sample_realization_batch(config, master_seed, streams)
+        if mode == "bound":
+            outages += _count_outages_bound(config, h, g)
+        else:
+            outages += _count_outages_designed(config, h, g, mode)
+    return outages
 
 
 def _chunk_task(args) -> int:
@@ -204,20 +223,24 @@ def run_point(
     """Count outages at one SNR point; returns ``(outages, trials_run)``.
 
     Deterministic in (config, snr_db, trials, mode, master_seed,
-    point_index) for any worker count. ``_CHUNK`` trials are the stop
-    granularity: with ``adaptive`` the point stops at the first chunk
+    point_index) for any worker count. A chunk of ``_CHUNK`` trials is
+    the stop unit: with ``adaptive`` the point stops at the first chunk
     boundary where the outage count k reaches ``target_outages``, so its
-    estimate k/n is an inverse-binomial one, biased upward. Blocks are
-    the work unit: ``_BLOCK`` trials from each multiple of ``_BLOCK``,
+    estimate k/n is an inverse-binomial one, biased upward. A block is
+    the pool's unit: ``_BLOCK`` trials from each multiple of ``_BLOCK``,
     the last one shorter, whatever the worker count, and a point of a
-    single block runs in the calling process. An adaptive point starts
-    a later chunk early only while the consumed prefix projects that it
-    will be needed; what is still pending at the stop is cancelled.
+    single block runs in the calling process. A sub-batch of at most
+    ``_SUB_ENTRIES`` entries of the larger hop is the compute unit
+    inside a block. An adaptive point starts a later chunk early only
+    while the consumed prefix projects that it will be needed; what is
+    still pending at the stop is cancelled.
     """
     if mode not in OUTAGE_MODES:
         raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}")
     if workers < 1:
         raise ContractViolation(f"workers must be a positive integer, got {workers}")
+    _require_int("trials", trials)
+    _require_int("target_outages", target_outages)
     if not 1 <= trials <= POINT_STRIDE:
         raise ContractViolation(f"trials must lie in [1, {POINT_STRIDE}], got {trials}")
     if point_index < 0:

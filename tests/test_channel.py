@@ -60,6 +60,14 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             SystemConfig(n_s=2, n_r=2, n_d=2, **{field: value})
 
+    @pytest.mark.parametrize(
+        "field,value",  # None and "1" used to raise TypeError; p_r = None selects the default budget
+        [(f, v) for f in ("rho", "p_r", "rate_bpcu") for v in (None, "1", True, 1j) if (f, v) != ("p_r", None)],
+    )
+    def test_real_fields_must_be_numbers(self, field, value):
+        with pytest.raises(ContractViolation, match=field):
+            SystemConfig(n_s=2, n_r=2, n_d=2, **{field: value})
+
     def test_m_dim(self):
         assert SystemConfig(n_s=3, n_r=2, n_d=4).m_dim == 2
         assert SystemConfig(n_s=2, n_r=5, n_d=1).m_dim == 2

@@ -223,6 +223,19 @@ class TestSimulateCommand:
         assert code == EXIT_OK
         assert "master_seed = 77" in (out / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("key", ["n_s", "n_r", "n_d", "rate_bpcu", "snr_grid_db", "trials_per_point"])
+    def test_missing_key_exit_2(self, tmp_path, capsys, key):
+        # a missing rate_bpcu used to print "must be real number, not NoneType"
+        config = tmp_path / "sweep.ini"
+        config.write_text("".join(ln for ln in SMALL_CONFIG.splitlines(True) if not ln.startswith(f"{key} =")))
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert f"missing {key}" in captured.err
+        assert not (tmp_path / "x").exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)]) == EXIT_USAGE
         capsys.readouterr()

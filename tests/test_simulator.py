@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, event inclusion, CI and slope fitting."""
 
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +11,7 @@ from relaylab.channel import SystemConfig, config_at_snr, sample_realization, sa
 from relaylab.metrics import bound_statistic, evaluate_realization, mutual_info_joint, outage_threshold
 from relaylab.numerics import ContractViolation, SeedSpec, gram_eigvals_desc
 from relaylab.simulator import (
+    OUTAGE_MODES,
     POINT_STRIDE,
     FitInfeasibleError,
     OutageCurve,
@@ -109,6 +111,28 @@ class TestSweepSpecValidation:
         # 1.5 used to pass and then fail inside numpy's SeedSequence
         with pytest.raises(ContractViolation):
             SweepSpec(CFG_222, (10.0,), 1000, master_seed=seed)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("trials_per_point", 1000.5),  # used to fail later, naming stream_index
+            ("trials_per_point", 1000.0),
+            ("trials_per_point", "1000"),
+            ("trials_per_point", True),
+            ("trials_per_point", None),
+            ("target_outages", 2.5),  # used to be accepted and run
+            ("target_outages", True),
+            ("target_outages", None),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        kwargs = dict(trials_per_point=1000, adaptive=True) | {field: value}
+        with pytest.raises(ContractViolation, match=field):
+            SweepSpec(CFG_222, (10.0,), **kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = SweepSpec(CFG_222, (10.0,), np.int64(1000), target_outages=np.int32(5))
+        assert (spec.trials_per_point, spec.target_outages) == (1000, 5)
 
 
 class TestRunPoint:
@@ -219,6 +243,15 @@ class TestRunPoint:
     def test_rejects_bad_input(self, kwargs):
         args = dict(trials=1000, master_seed=1, point_index=0) | kwargs
         with pytest.raises(ContractViolation):
+            run_point(CFG_222, 10.0, mode="bound", **args)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("trials", 1000.5), ("trials", 1000.0), ("trials", True), ("target_outages", 2.5), ("target_outages", True)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        args = dict(trials=1000, master_seed=1, adaptive=True) | {field: value}
+        with pytest.raises(ContractViolation, match=field):
             run_point(CFG_222, 10.0, mode="bound", **args)
 
     def test_separate_mode_runs(self):
@@ -363,6 +396,63 @@ class TestScheduler:
             _, trials = run_point(CFG_222, 10.0, 2048, "exact", master_seed=5, workers=2, _executor=executor)
         assert trials == 2048
         assert executor.submitted == []
+
+
+class _SampledRows:
+    """Wraps ``simulator.sample_realization_batch`` and logs the size of each batch."""
+
+    def __init__(self, monkeypatch):
+        self.sizes: list[int] = []
+        monkeypatch.setattr(simulator, "sample_realization_batch", self)
+
+    def __call__(self, config, master_seed, streams):
+        self.sizes.append(len(streams))
+        return sample_realization_batch(config, master_seed, streams)
+
+
+class TestSubBatches:
+    """``_count_chunk`` samples and counts a block in sub-batches of at most
+    ``_SUB_ENTRIES`` complex entries of the larger hop."""
+
+    @pytest.mark.parametrize("mode", OUTAGE_MODES)
+    @pytest.mark.parametrize("shape,sizes", [((3, 5, 4), [1638, 1638, 1638, 86]), ((4, 4, 4), [2048, 2048, 904])])
+    def test_counts_equal_one_shot(self, shape, sizes, mode, monkeypatch):
+        config = config_at_snr(SystemConfig(*shape, rate_bpcu=4.0), 10.0)
+        args = (config, mode, 20260808, 2, 3 * BLOCK, 5000)  # a later point, a block past the first chunk
+        sampled = _SampledRows(monkeypatch)
+        batched = simulator._count_chunk(*args)
+        monkeypatch.setattr(simulator, "_SUB_ENTRIES", 2**40)
+        assert simulator._count_chunk(*args) == batched
+        assert sampled.sizes == sizes + [5000]
+        assert 0 < batched < 5000
+
+    @pytest.mark.parametrize(
+        "shape,n,sizes",
+        [
+            ((2, 2, 2), BLOCK, [BLOCK]),
+            ((4, 4, 4), BLOCK, [2048] * 4),
+            ((4, 2, 3), BLOCK, [4096] * 2),
+            ((4, 2, 3), 2048, [2048]),  # the blocks of exact-4x2x3's 2,048-trial points
+        ],
+    )
+    def test_sub_batches_per_block(self, shape, n, sizes, monkeypatch):
+        sampled = _SampledRows(monkeypatch)
+        simulator._count_chunk(config_at_snr(SystemConfig(*shape, rate_bpcu=2.0), 20.0), "bound", 5, 0, 0, n)
+        assert sampled.sizes == sizes
+
+    def test_block_working_set(self):
+        # Traced peak of a 4x4x4 bound block: 10.1 MiB sampled in one shot,
+        # 3.5 MiB in sub-batches. A change that regrows it fails here.
+        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=4.0), 20.0)
+        simulator._count_chunk(config, "bound", 20260808, 0, 0, BLOCK)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            simulator._count_chunk(config, "bound", 20260808, 0, 0, BLOCK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000
 
 
 class TestRunSweep:
