@@ -9,12 +9,11 @@ the identity at both receivers; all closed forms downstream assume it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import ContractViolation, SeedSpec, sample_complex_gaussian_batch
+from .numerics import ContractViolation, SeedSpec, _check_scalar, sample_complex_gaussian_batch
 
 __all__ = [
     "SystemConfig",
@@ -37,9 +36,7 @@ def default_power_coupling(n_s: int, rho: float) -> float:
     antenna count is the reference here; the budget can be overridden
     independently on :class:`SystemConfig` for asymmetric experiments.)
     """
-    if rho <= 0:
-        raise ContractViolation(f"rho must be positive, got {rho}")
-    return rho * n_s
+    return _check_scalar("rho", rho, low=0, open_low=True) * n_s
 
 
 @dataclass(frozen=True)
@@ -60,23 +57,12 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("n_s", "n_r", "n_d"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
-                raise ContractViolation(f"{name} must be a positive integer, got {v!r}")
-        for name in ("rho", "p_r", "rate_bpcu"):
-            v = getattr(self, name)
-            real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-            if not (real or (name == "p_r" and v is None)):  # p_r None takes the default below
-                raise ContractViolation(f"{name} must be a real number, got {v!r}")
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not (math.isfinite(self.rho) and self.rho > 0):
-            raise ContractViolation(f"rho must be positive and finite, got {self.rho}")
+            _check_scalar(name, getattr(self, name), integer=True, low=1)
+        _check_scalar("rho", self.rho, low=0, open_low=True)
         if self.p_r is None:
             object.__setattr__(self, "p_r", default_power_coupling(self.n_s, self.rho))
-        if not (math.isfinite(self.p_r) and self.p_r > 0):
-            raise ContractViolation(f"p_r must be positive and finite, got {self.p_r}")
-        if not (math.isfinite(self.rate_bpcu) and self.rate_bpcu >= 0):
-            raise ContractViolation(f"rate_bpcu must be nonnegative and finite, got {self.rate_bpcu}")
+        _check_scalar("p_r", self.p_r, low=0, open_low=True)
+        _check_scalar("rate_bpcu", self.rate_bpcu, low=0)
 
     @property
     def m_dim(self) -> int:
@@ -89,9 +75,17 @@ class SystemConfig:
 
 
 def config_at_snr(config: SystemConfig, snr_db: float) -> SystemConfig:
-    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), relay budget coupled."""
-    rho = 10.0 ** (snr_db / 10.0)
-    return replace(config, rho=rho, p_r=default_power_coupling(config.n_s, rho))
+    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), relay budget coupled.
+
+    Raises :class:`ContractViolation` naming ``snr_db`` unless it is a real
+    number that keeps rho and p_r positive and finite.
+    """
+    _check_scalar("snr_db", snr_db)
+    try:
+        rho = 10.0 ** (snr_db / 10.0)
+        return replace(config, rho=rho, p_r=default_power_coupling(config.n_s, rho))
+    except (OverflowError, ContractViolation):  # 10**x overflows, underflows to 0, or rho * n_s does
+        raise ContractViolation(f"snr_db must keep rho and p_r positive and finite, got {snr_db}") from None
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, theory
 from .channel import ChannelRealization, SystemConfig, sample_realization
-from .numerics import ContractViolation, SeedSpec
+from .numerics import _MAX_U64, ContractViolation, SeedSpec, _check_scalar
 from .simulator import (
     FitInfeasibleError,
     OutageCurve,
@@ -64,6 +64,26 @@ def _usage_error(message: str) -> int:
     # One ``error:`` line on stderr, whatever line breaks the message carries.
     print(f"error: {' '.join(message.split())}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _parsed(name: str, parse, text):
+    """``parse(text)``, with any read, parse or contract failure re-raised
+    as a :class:`ContractViolation` that names ``name``, a flag or a key."""
+    try:
+        return parse(text)
+    except (OSError, ValueError, configparser.Error) as exc:  # ContractViolation is a ValueError
+        raise ContractViolation(f"{name}: {exc}") from None
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[text.lower()]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -114,52 +134,50 @@ def read_curve_csv(path: Path, config: SystemConfig | None = None) -> OutageCurv
     return OutageCurve(points=tuple(points), mode=None, config=config)
 
 
+# The sweep config, one row per key: (section, key, parse, format, default).
+# Each key is a field of SystemConfig ([system]) or SweepSpec ([sweep]);
+# a default of None marks a required key.
+_SPEC_FIELDS = (
+    ("system", "n_s", int, str, None),
+    ("system", "n_r", int, str, None),
+    ("system", "n_d", int, str, None),
+    ("system", "rate_bpcu", float, _fmt, None),
+    ("sweep", "snr_grid_db", _parse_floats, lambda grid: ", ".join(map(_fmt, grid)), None),
+    ("sweep", "trials_per_point", int, str, None),
+    ("sweep", "outage_mode", str, str, "bound"),
+    ("sweep", "master_seed", int, str, 0),
+    ("sweep", "adaptive", _parse_bool, lambda flag: str(flag).lower(), False),
+    ("sweep", "target_outages", int, str, 200),
+)
+_FIELD_PARSE = {key: parse for _, key, parse, _, _ in _SPEC_FIELDS}
+
+
 def parse_sweep_config(path: Path) -> SweepSpec:
+    """Read a sweep config, or a manifest, which echoes one. Any failure is a
+    :class:`ContractViolation` naming the file and, when there is one, the key."""
+    return _parsed(f"config {path}", _read_spec, path)
+
+
+def _read_spec(path: Path) -> SweepSpec:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read or "system" not in parser or "sweep" not in parser:
-        raise ContractViolation(f"config {path} must contain [system] and [sweep] sections")
-    sys_sec = parser["system"]
-    sweep = parser["sweep"]
-    required = {"system": ("n_s", "n_r", "n_d", "rate_bpcu"), "sweep": ("snr_grid_db", "trials_per_point")}
-    for name, keys in required.items():
-        missing = [key for key in keys if key not in parser[name]]
-        if missing:
-            raise ContractViolation(f"config {path}: [{name}] is missing {', '.join(missing)}")
-    config = SystemConfig(
-        n_s=sys_sec.getint("n_s"),
-        n_r=sys_sec.getint("n_r"),
-        n_d=sys_sec.getint("n_d"),
-        rate_bpcu=sys_sec.getfloat("rate_bpcu"),
-    )
-    grid = tuple(float(x) for x in sweep["snr_grid_db"].split(","))
-    return SweepSpec(
-        config=config,
-        snr_grid_db=grid,
-        trials_per_point=sweep.getint("trials_per_point"),
-        outage_mode=sweep.get("outage_mode", "bound"),
-        master_seed=sweep.getint("master_seed", 0),
-        adaptive=sweep.getboolean("adaptive", False),
-        target_outages=sweep.getint("target_outages", 200),
-    )
+    if not parser.read(path):  # configparser skips a file it cannot open
+        raise ContractViolation("no such readable file")
+    if "system" not in parser or "sweep" not in parser:
+        raise ContractViolation("must contain [system] and [sweep] sections")
+    fields: dict[str, dict] = {"system": {}, "sweep": {}}
+    for section, key, parse, _, default in _SPEC_FIELDS:
+        text = parser[section].get(key)
+        if text is None and default is None:
+            raise ContractViolation(f"[{section}] is missing {key}")
+        fields[section][key] = default if text is None else _parsed(f"[{section}] {key}", parse, text)
+    return SweepSpec(config=SystemConfig(**fields["system"]), **fields["sweep"])
 
 
 def spec_echo_text(spec: SweepSpec) -> str:
-    cfg = spec.config
-    return (
-        "[system]\n"
-        f"n_s = {cfg.n_s}\n"
-        f"n_r = {cfg.n_r}\n"
-        f"n_d = {cfg.n_d}\n"
-        f"rate_bpcu = {_fmt(cfg.rate_bpcu)}\n"
-        "\n[sweep]\n"
-        f"snr_grid_db = {', '.join(_fmt(x) for x in spec.snr_grid_db)}\n"
-        f"trials_per_point = {spec.trials_per_point}\n"
-        f"outage_mode = {spec.outage_mode}\n"
-        f"master_seed = {spec.master_seed}\n"
-        f"adaptive = {str(spec.adaptive).lower()}\n"
-        f"target_outages = {spec.target_outages}\n"
-    )
+    blocks = {"system": "[system]\n", "sweep": "\n[sweep]\n"}
+    for section, key, _, fmt, _ in _SPEC_FIELDS:
+        blocks[section] += f"{key} = {fmt(getattr(spec.config if section == 'system' else spec, key))}\n"
+    return "".join(blocks.values())
 
 
 def manifest_text(spec: SweepSpec, started: str, finished: str, workers: int, outputs: dict[str, str]) -> str:
@@ -183,21 +201,13 @@ def _utcnow() -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip() != ""]
-
-
 def cmd_theory(args: argparse.Namespace) -> int:
     for flag, count in (("--ns", args.ns), ("--nr", args.nr), ("--nd", args.nd)):
-        if count < 1:
-            return _usage_error(f"{flag} must be at least 1, got {count}")
+        _check_scalar(flag, count, integer=True, low=1)
     flag, text = ("--rates", args.rates) if args.rates is not None else ("--mux", args.mux)
-    try:
-        values = _parse_float_list(text)
-    except ValueError as exc:
-        return _usage_error(f"{flag}: {exc}")
-    if not values or not all(0 <= v < math.inf for v in values):
-        return _usage_error(f"{flag} must be a non-empty list of finite, nonnegative values, got {text!r}")
+    values = _parsed(flag, _parse_floats, text)
+    for value in values:
+        _check_scalar(flag, value, low=0)
 
     if args.rates is not None:
         header = ("rate_bpcu", "m_bar", "d_drt", "regime")
@@ -223,32 +233,27 @@ def cmd_theory(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        return _usage_error(f"--workers must be a positive integer, got {args.workers}")
-    try:
-        spec = parse_sweep_config(Path(args.config))
-    except (OSError, ContractViolation, configparser.Error, ValueError, TypeError) as exc:
-        return _usage_error(f"unreadable config: {exc}")
+    _check_scalar("--workers", args.workers, integer=True, low=1)
+    spec = parse_sweep_config(Path(args.config))
 
     seed_source, seed = "--seed", args.seed
     if seed is None and SEED_ENV_VAR in os.environ:
         seed_source, seed = SEED_ENV_VAR, os.environ[SEED_ENV_VAR]
     overrides = [
-        (seed_source, "master_seed", seed, int),
-        ("--mode", "outage_mode", args.mode, str),
-        ("--trials", "trials_per_point", args.trials, int),
-        ("--snr-db", "snr_grid_db", args.snr_db, lambda text: tuple(_parse_float_list(text))),
-        ("--adaptive", "adaptive", args.adaptive or None, bool),
+        (seed_source, "master_seed", seed),
+        ("--mode", "outage_mode", args.mode),
+        ("--trials", "trials_per_point", args.trials),
+        ("--snr-db", "snr_grid_db", args.snr_db),
+        ("--adaptive", "adaptive", "true" if args.adaptive else None),
     ]
     # The config parsed to a valid spec, so the first override that
     # makes it invalid is the one to name.
-    for source, field, value, parse in overrides:
-        if value is None:
-            continue
-        try:
-            spec = replace(spec, **{field: parse(value)})
-        except (ContractViolation, ValueError) as exc:
-            return _usage_error(f"{source}: invalid sweep spec: {exc}")
+    for source, key, value in overrides:
+        if value is not None:
+            parse = _FIELD_PARSE[key]
+            spec = _parsed(
+                f"{source}: invalid sweep spec", lambda text: replace(spec, **{key: parse(text)}), str(value)
+            )
 
     out_dir = Path(args.out_dir)
     started = _utcnow()
@@ -285,29 +290,22 @@ def _config_for_slope(args: argparse.Namespace, curve_path: Path) -> SystemConfi
     if any(v is not None for v in flags.values()):
         if None in flags.values():
             raise ContractViolation("--ns, --nr, --nd and --rate must be given together")
-        for flag, value in flags.items():
-            if not value > 0:  # also the rate: nothing is in outage at rate 0, so no slope exists
-                raise ContractViolation(f"{flag} must be positive, got {value}")
+        for flag in ("--ns", "--nr", "--nd"):
+            _check_scalar(flag, flags[flag], integer=True, low=1)
+        _check_scalar("--rate", args.rate, low=0, open_low=True)  # nothing is in outage at rate 0: no slope
         return SystemConfig(n_s=args.ns, n_r=args.nr, n_d=args.nd, rate_bpcu=args.rate)
     manifest = Path(args.manifest) if args.manifest else curve_path.parent / "manifest.txt"
     if not (args.manifest or manifest.exists()):
         return None
-    try:
-        return parse_sweep_config(manifest).config
-    except (ContractViolation, configparser.Error, ValueError, TypeError) as exc:
-        source = "--manifest" if args.manifest else "sibling manifest"
-        raise ContractViolation(f"{source} {manifest}: {exc}") from exc
+    source = "--manifest" if args.manifest else "sibling manifest"
+    return _parsed(source, lambda path: parse_sweep_config(path).config, manifest)
 
 
 def cmd_slope(args: argparse.Namespace) -> int:
     curve_path = Path(args.curve)
-    try:
-        if args.min_count < 1:
-            raise ContractViolation(f"--min-count must be at least 1, got {args.min_count}")
-        config = _config_for_slope(args, curve_path)
-        curve = read_curve_csv(curve_path, config=config)
-    except (OSError, ContractViolation, ValueError) as exc:
-        return _usage_error(str(exc))
+    _check_scalar("--min-count", args.min_count, integer=True, low=1)
+    config = _config_for_slope(args, curve_path)
+    curve = _parsed("--curve", lambda path: read_curve_csv(path, config=config), curve_path)
     try:
         fit = fit_slope(curve, min_count=args.min_count)
     except FitInfeasibleError as exc:
@@ -331,8 +329,9 @@ def _parse_shapes(text: str) -> list[tuple[int, int, int]]:
     for token in text.split(","):
         parts = token.strip().lower().split("x")
         if len(parts) != 3:
-            raise ContractViolation(f"bad shape {token!r}, expected NSxNRxND")
+            raise ValueError(f"bad shape {token!r}, expected NSxNRxND")
         shapes.append(tuple(int(p) for p in parts))
+        SystemConfig(*shapes[-1])  # rejects non-integer and non-positive counts
     return shapes
 
 
@@ -470,20 +469,10 @@ def _rel_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_design_check(args: argparse.Namespace) -> int:
-    try:
-        flag = "--shapes"
-        shapes = _parse_shapes(args.shapes)
-        for shape in shapes:
-            SystemConfig(*shape)  # rejects non-positive counts
-        flag = "--rho"
-        SystemConfig(1, 1, 1, rho=args.rho)
-        flag = "--seed"
-        SeedSpec(args.seed)
-        flag = "--draws"
-        if args.draws < 1:
-            raise ContractViolation(f"must be positive, got {args.draws}")
-    except (ContractViolation, ValueError) as exc:
-        return _usage_error(f"{flag}: {exc}")
+    shapes = _parsed("--shapes", _parse_shapes, args.shapes)
+    _check_scalar("--rho", args.rho, low=0, open_low=True)
+    _check_scalar("--seed", args.seed, integer=True, low=0, high=_MAX_U64)
+    _check_scalar("--draws", args.draws, integer=True, low=1)
     results = run_design_check(shapes, args.draws, args.rho, args.seed, inject_fault=args.inject_fault)
     for result in results:
         print(f"shape {'x'.join(map(str, result.shape))}: {'ok' if result.ok else 'FAIL'}")
@@ -561,7 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContractViolation as exc:  # the one exit-2 path for usage errors
+        return _usage_error(str(exc))
 
 
 if __name__ == "__main__":

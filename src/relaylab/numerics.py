@@ -12,6 +12,7 @@ route, :func:`gram_eigvals_desc`; a private trace helper screens for it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -36,6 +37,27 @@ PSD_CLIP_REL = 1e-10
 
 class ContractViolation(ValueError):
     """An argument failed a documented precondition."""
+
+
+def _check_scalar(name: str, value, integer: bool = False, low=None, high=None, open_low: bool = False):
+    """The one scalar input check behind every public boundary; returns ``value``.
+
+    ``value`` must be an integer (``integer``) or a finite real number,
+    never a bool, and lie in ``[low, high]`` (``(low, high]`` with
+    ``open_low``); a bound of None is absent. A failure raises
+    :class:`ContractViolation` naming ``name``: the field, parameter or
+    flag the caller knows.
+    """
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ContractViolation(f"{name} must be {'an integer' if integer else 'a real number'}, got {value!r}")
+    if not (integer or -sys.float_info.max <= value <= sys.float_info.max):  # NaN fails every comparison
+        raise ContractViolation(f"{name} must be finite, got {value}")
+    if (low is not None and (value <= low if open_low else value < low)) or (high is not None and value > high):
+        lo = "" if low is None else f"{'greater than' if open_low else 'at least'} {low}"
+        hi = "" if high is None else f"at most {high}"
+        raise ContractViolation(f"{name} must be {' and '.join(filter(None, (lo, hi)))}, got {value}")
+    return value
 
 
 class NumericalRankError(RuntimeError):
@@ -82,9 +104,7 @@ class SeedSpec:
 
     def __post_init__(self):
         for name in ("master_seed", "stream_index"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v <= _MAX_U64:
-                raise ContractViolation(f"{name} must be a 64-bit unsigned integer, got {v!r}")
+            _check_scalar(name, getattr(self, name), integer=True, low=0, high=_MAX_U64)
 
 
 @lru_cache(maxsize=64)

@@ -31,7 +31,7 @@ import numpy as np
 from . import theory
 from .channel import SystemConfig, config_at_snr, sample_realization_batch
 from .metrics import bound_statistic, mutual_info_joint, outage_separate, outage_threshold
-from .numerics import ContractViolation, SeedSpec, _gram_inv_trace, gram_eigvals_desc
+from .numerics import ContractViolation, SeedSpec, _check_scalar, _gram_inv_trace, gram_eigvals_desc
 from .transceiver import optimal_gamma_batch
 
 __all__ = [
@@ -72,11 +72,6 @@ class FitInfeasibleError(RuntimeError):
     """Too few usable points to fit a diversity slope."""
 
 
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractViolation(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Full description of one outage-vs-SNR experiment."""
@@ -90,25 +85,20 @@ class SweepSpec:
     target_outages: int = 200
 
     def __post_init__(self):
-        grid = tuple(float(x) for x in self.snr_grid_db)
+        grid = tuple(float(_check_scalar("snr_grid_db", x)) for x in self.snr_grid_db)
         object.__setattr__(self, "snr_grid_db", grid)
-        if not all(math.isfinite(x) for x in grid):
-            raise ContractViolation(f"snr_grid_db must be finite, got {grid}")
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation(f"snr_grid_db must be strictly ascending, got {grid}")
+        for snr_db in (grid[0], grid[-1]):  # rho and p_r grow with the SNR, so the ends bound them
+            try:
+                config_at_snr(self.config, snr_db)
+            except ContractViolation as exc:
+                raise ContractViolation(f"snr_grid_db: {exc}") from None
         SeedSpec(self.master_seed)
-        _require_int("trials_per_point", self.trials_per_point)
-        _require_int("target_outages", self.target_outages)
-        if self.trials_per_point < 100:
-            raise ContractViolation(
-                f"trials_per_point must be at least 100, got {self.trials_per_point}"
-            )
-        if self.trials_per_point > POINT_STRIDE:
-            raise ContractViolation("trials_per_point exceeds the per-point stream budget")
+        _check_scalar("trials_per_point", self.trials_per_point, integer=True, low=100, high=POINT_STRIDE)
+        _check_scalar("target_outages", self.target_outages, integer=True, low=1 if self.adaptive else None)
         if self.outage_mode not in OUTAGE_MODES:
-            raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}")
-        if self.adaptive and self.target_outages < 1:
-            raise ContractViolation("target_outages must be positive")
+            raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}, got {self.outage_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +128,8 @@ class SlopeFit:
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval; well behaved at zero counts."""
-    if trials <= 0:
-        raise ContractViolation("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise ContractViolation("successes must lie in [0, trials]")
+    _check_scalar("trials", trials, integer=True, low=1)
+    _check_scalar("successes", successes, integer=True, low=0, high=trials)
     p_hat = successes / trials
     denom = 1.0 + _Z95**2 / trials
     center = (p_hat + _Z95**2 / (2 * trials)) / denom
@@ -236,18 +224,12 @@ def run_point(
     still pending at the stop is cancelled.
     """
     if mode not in OUTAGE_MODES:
-        raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}")
-    if workers < 1:
-        raise ContractViolation(f"workers must be a positive integer, got {workers}")
-    _require_int("trials", trials)
-    _require_int("target_outages", target_outages)
-    if not 1 <= trials <= POINT_STRIDE:
-        raise ContractViolation(f"trials must lie in [1, {POINT_STRIDE}], got {trials}")
-    if point_index < 0:
-        raise ContractViolation(f"point_index must be nonnegative, got {point_index}")
+        raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}, got {mode!r}")
+    _check_scalar("workers", workers, integer=True, low=1)
+    _check_scalar("trials", trials, integer=True, low=1, high=POINT_STRIDE)
+    _check_scalar("point_index", point_index, integer=True, low=0)
     SeedSpec(master_seed, point_index * POINT_STRIDE + trials - 1)  # the seed and the last stream index
-    if adaptive and target_outages < 1:
-        raise ContractViolation(f"target_outages must be positive, got {target_outages}")
+    _check_scalar("target_outages", target_outages, integer=True, low=1 if adaptive else None)
     at_snr = config_at_snr(config, snr_db)
     # (chunk_start, start, n) of every block, in trial order
     blocks = [(s - s % _CHUNK, s, min(_BLOCK, trials - s)) for s in range(0, trials, _BLOCK)]
@@ -295,8 +277,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> OutageCurve:
     stream ranges keyed by their index, so results never depend on
     worker count or on other points.
     """
-    if workers < 1:
-        raise ContractViolation(f"workers must be a positive integer, got {workers}")
+    _check_scalar("workers", workers, integer=True, low=1)
     points = []
     executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
@@ -338,8 +319,7 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
     slope); requires three such points. ``d_hat`` is minus the slope of
     log10 p_out against log10 rho.
     """
-    if min_count < 1:
-        raise ContractViolation(f"min_count must be at least 1, got {min_count}")
+    _check_scalar("min_count", min_count, integer=True, low=1)
     points = list(curve.points)
     counts = [p.outages for p in points]
     usable = [i for i, c in enumerate(counts) if c >= min_count]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .numerics import ContractViolation
+from .numerics import _check_scalar
 
 __all__ = [
     "DiversityPrediction",
@@ -50,21 +50,12 @@ def _ceil_snapped(x: float) -> int:
     return int(math.ceil(x))
 
 
-def _require_counts(*counts: int) -> None:
-    if min(counts) < 1:
-        raise ContractViolation(f"antenna counts must be at least 1, got {counts}")
-
-
-def _require_finite_nonnegative(name: str, value: float) -> None:
-    if not 0 <= value < math.inf:  # false for nan too
-        raise ContractViolation(f"{name} must be finite and nonnegative, got {value}")
-
-
 def outage_threshold(n_s: int, m_dim: int, rate_bpcu: float) -> float:
     """Threshold ``m = n_s 2^(-2R/n_s) - (n_s - M)`` the bound statistic is
     compared against; ``m_bar`` is its snapped ceiling."""
-    _require_counts(n_s, m_dim)
-    _require_finite_nonnegative("rate", rate_bpcu)
+    _check_scalar("n_s", n_s, integer=True, low=1)
+    _check_scalar("m_dim", m_dim, integer=True, low=1)
+    _check_scalar("rate_bpcu", rate_bpcu, low=0)
     return n_s * 2.0 ** (-2.0 * rate_bpcu / n_s) - (n_s - m_dim)
 
 
@@ -80,7 +71,8 @@ def drt(n_s: int, n_r: int, n_d: int, rate_bpcu: float) -> int:
     with M = min(n_s, n_r). Zero when the rate is high enough that
     ``m_bar`` vanishes: outage then never decays.
     """
-    _require_counts(n_s, n_r, n_d)
+    for name, count in (("n_s", n_s), ("n_r", n_r), ("n_d", n_d)):
+        _check_scalar(name, count, integer=True, low=1)
     m = min(n_s, n_r)
     mb = m_bar(n_s, m, rate_bpcu)
     first = mb * (n_r + n_s - 2 * m + mb)
@@ -93,8 +85,9 @@ def dmt(n_s: int, n_r: int, n_d: int, r_mult: float) -> float:
 
     (n_r - n_s + 1)(1 - 2r/n_s)^+ when n_s <= min(n_r, n_d), else 0.
     """
-    _require_counts(n_s, n_r, n_d)
-    _require_finite_nonnegative("multiplexing gain", r_mult)
+    for name, count in (("n_s", n_s), ("n_r", n_r), ("n_d", n_d)):
+        _check_scalar(name, count, integer=True, low=1)
+    _check_scalar("r_mult", r_mult, low=0)
     if n_s > min(n_r, n_d):
         return 0.0
     return (n_r - n_s + 1) * max(1.0 - 2.0 * r_mult / n_s, 0.0)
@@ -107,9 +100,9 @@ def classify_regime(n_s: int, m_dim: int, rate_bpcu: float) -> str:
     (n_s/2) log2(n_s) upward; a single source antenna is always in the
     full-diversity regime.
     """
-    if n_s < 1 or not (1 <= m_dim <= n_s):
-        raise ContractViolation(f"invalid antenna counts n_s={n_s}, m_dim={m_dim}")
-    _require_finite_nonnegative("rate", rate_bpcu)
+    _check_scalar("n_s", n_s, integer=True, low=1)
+    _check_scalar("m_dim", m_dim, integer=True, low=1, high=n_s)
+    _check_scalar("rate_bpcu", rate_bpcu, low=0)
     if n_s == 1:
         return REGIME_FULL_DIVERSITY
     if rate_bpcu < 0.5 * n_s * math.log2(n_s / (n_s - 1)):

@@ -4,6 +4,7 @@ Commands are exercised through main(argv) so the full parse/dispatch
 path runs; file outputs land in tmp_path.
 """
 
+import hashlib
 import os
 from pathlib import Path
 
@@ -17,8 +18,10 @@ from relaylab.cli import (
     main,
     parse_sweep_config,
     read_curve_csv,
+    spec_echo_text,
 )
-from relaylab.simulator import fit_slope
+from relaylab.channel import SystemConfig
+from relaylab.simulator import SweepSpec, fit_slope
 
 SMALL_CONFIG = """\
 [system]
@@ -198,6 +201,8 @@ class TestSimulateCommand:
             ("--snr-db", ["--snr-db", "nan"], None),
             ("--snr-db", ["--snr-db", "5,x"], None),
             ("--snr-db", ["--snr-db", "10,5"], None),
+            ("--snr-db", ["--snr-db", "10,4000"], None),  # used to exit 1 with an OverflowError
+            ("--snr-db", ["--snr-db=-4000,10"], None),  # used to exit 1 naming rho
             ("--adaptive", ["--adaptive"], None),  # the config's target_outages = 0 is fine until then
         ],
     )
@@ -234,6 +239,29 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert f"missing {key}" in captured.err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "case",  # (the line replaced, its replacement, what the error must name)
+        [
+            ("n_d = 2", "n_d =", "[system] n_d"),
+            ("rate_bpcu = 2.0", "rate_bpcu =", "[system] rate_bpcu"),
+            ("snr_grid_db = 5, 10, 15", "snr_grid_db = 10,", "[sweep] snr_grid_db"),
+            ("master_seed = 77", "master_seed = 77\nadaptive = maybe", "[sweep] adaptive"),
+            ("snr_grid_db = 5, 10, 15", "snr_grid_db = 10, 4000", "snr_grid_db"),  # used to exit 1
+            ("snr_grid_db = 5, 10, 15", "snr_grid_db = -4000, 10", "snr_grid_db"),  # used to exit 1
+        ],
+    )
+    def test_bad_value_names_key_exit_2(self, tmp_path, capsys, case):
+        line, replacement, name = case
+        config = tmp_path / "sweep.ini"
+        config.write_text(SMALL_CONFIG.replace(line, replacement))
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert name in captured.err
         assert not (tmp_path / "x").exists()
 
     def test_unreadable_config(self, tmp_path, capsys):
@@ -418,6 +446,39 @@ class TestDesignCheckCommand:
         assert block("2x2x2") == block("1x1x1,2x2x2")
 
 
+class TestPinnedCurves:
+    """curve.csv bytes of reference specs, run through the config parser and
+    the CSV writer. The sha256 values were recorded when these specs were
+    first pinned; any change to sampling, counting or formatting shows here."""
+
+    @pytest.mark.parametrize(
+        "case",  # (shape, rate, mode, grid, trials, sha256 of curve.csv)
+        [
+            ((4, 2, 3), 2, "exact", "0, 5, 10, 15, 20, 25, 30", 20000,
+             "44a647ec5eec788ee3fa6d3d463761880d7bbe4c4f367e7beb1db2f865e81fd8"),
+            ((2, 2, 2), 2, "separate", "0, 5, 10, 15, 20", 5000,
+             "150a4d5376022fbdc2f228f4d27b0a39e3cff90bccc38fd86624a001c429d537"),
+            ((2, 2, 1), 2, "bound", "0, 10, 20", 100000,
+             "1acadf0e55e254d3f5ef197a85266096954a096fa72b359b7db52d3408024c72"),
+            ((1, 1, 1), 1, "exact", "0, 10, 20", 100000,
+             "113261c6c42fd4d6786c1be1725f07413c18aad9a6611bfac68f2bb7e087cb73"),
+        ],
+        ids=lambda case: f"{case[2]}-{'x'.join(map(str, case[0]))}",
+    )
+    def test_curve_sha256(self, tmp_path, capsys, case):
+        (n_s, n_r, n_d), rate, mode, grid, trials, digest = case
+        config = tmp_path / "spec.ini"
+        config.write_text(
+            f"[system]\nn_s = {n_s}\nn_r = {n_r}\nn_d = {n_d}\nrate_bpcu = {rate}\n\n"
+            f"[sweep]\nsnr_grid_db = {grid}\ntrials_per_point = {trials}\noutage_mode = {mode}\n"
+            "master_seed = 20260808\n"
+        )
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "run"), "--workers", "1"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert hashlib.sha256((tmp_path / "run" / "curve.csv").read_bytes()).hexdigest() == digest
+
+
 class TestConfigParsing:
     def test_round_trip(self, config_path):
         spec = parse_sweep_config(config_path)
@@ -425,3 +486,13 @@ class TestConfigParsing:
         assert spec.snr_grid_db == (5.0, 10.0, 15.0)
         assert spec.trials_per_point == 2000
         assert spec.master_seed == 77
+
+    def test_echo_text_bytes(self):
+        # manifests written before the config became a field table must still round-trip
+        spec = SweepSpec(SystemConfig(4, 2, 3, rate_bpcu=0.42), (0.0, 12.5, 30.0), 20000, "exact",
+                         master_seed=2**64 - 1, adaptive=True, target_outages=7)
+        assert spec_echo_text(spec) == (
+            "[system]\nn_s = 4\nn_r = 2\nn_d = 3\nrate_bpcu = 0.42\n\n"
+            "[sweep]\nsnr_grid_db = 0, 12.5, 30\ntrials_per_point = 20000\noutage_mode = exact\n"
+            "master_seed = 18446744073709551615\nadaptive = true\ntarget_outages = 7\n"
+        )

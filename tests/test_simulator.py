@@ -130,6 +130,11 @@ class TestSweepSpecValidation:
         with pytest.raises(ContractViolation, match=field):
             SweepSpec(CFG_222, (10.0,), **kwargs)
 
+    @pytest.mark.parametrize("grid", [(10.0, 4000.0), (-4000.0, 10.0), (True, 10.0)])
+    def test_grid_must_keep_rho_in_float_range(self, grid):
+        with pytest.raises(ContractViolation, match="snr_grid_db"):
+            SweepSpec(CFG_222, grid, 1000)
+
     def test_numpy_integer_counts_accepted(self):
         spec = SweepSpec(CFG_222, (10.0,), np.int64(1000), target_outages=np.int32(5))
         assert (spec.trials_per_point, spec.target_outages) == (1000, 5)
@@ -247,12 +252,44 @@ class TestRunPoint:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("trials", 1000.5), ("trials", 1000.0), ("trials", True), ("target_outages", 2.5), ("target_outages", True)],
+        [
+            ("trials", 1000.5),
+            ("trials", 1000.0),
+            ("trials", True),
+            ("target_outages", 2.5),
+            ("target_outages", True),
+            ("workers", True),  # used to run
+            ("workers", 1.5),  # used to run
+            ("point_index", True),  # used to run
+            ("point_index", 1.5),  # used to fail naming stream_index
+        ],
     )
     def test_counts_must_be_integers(self, field, value):
         args = dict(trials=1000, master_seed=1, adaptive=True) | {field: value}
         with pytest.raises(ContractViolation, match=field):
             run_point(CFG_222, 10.0, mode="bound", **args)
+
+    @pytest.mark.parametrize(
+        "field,call",
+        [
+            ("workers", lambda: run_sweep(SweepSpec(CFG_222, (10.0,), 1000), workers=True)),
+            ("workers", lambda: run_sweep(SweepSpec(CFG_222, (10.0,), 1000), workers=1.5)),
+            ("successes", lambda: wilson_interval(1.5, 10)),
+            ("trials", lambda: wilson_interval(5, 10.0)),
+            ("min_count", lambda: fit_slope(_synthetic_curve([10.0, 15.0, 20.0], [1e-2, 1e-3, 1e-4]), min_count=2.5)),
+        ],
+        ids=["run_sweep-workers-True", "run_sweep-workers-1.5", "wilson-successes-1.5", "wilson-trials-10.0",
+             "fit_slope-min_count-2.5"],
+    )
+    def test_other_counts_must_be_integers(self, field, call):
+        with pytest.raises(ContractViolation, match=field):
+            call()
+
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("nan"), True])
+    def test_snr_must_keep_rho_in_float_range(self, snr_db):
+        # 4000 dB used to raise OverflowError; -4000 dB failed naming rho
+        with pytest.raises(ContractViolation, match="snr_db"):
+            run_point(CFG_222, snr_db, 1000, "bound", master_seed=1)
 
     def test_separate_mode_runs(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)

@@ -156,6 +156,26 @@ class TestRejectsBadInput:
             (classify_regime, (2, 2, -1.0)),
             (outage_threshold, (0, 1, 1.0)),
             (outage_threshold, (2, 2, float("nan"))),
+            # 2.5 and True as antenna counts, True as a rate: each used to return a diversity order
+            (drt, (2.5, 2, 2, 1.0)),
+            (drt, (2, 2.5, 2, 1.0)),
+            (drt, (2, 2, True, 1.0)),
+            (drt, (2, 2, 2, True)),
+            (dmt, (True, 2, 2, 0.1)),
+            (dmt, (2, 2, 2.5, 0.1)),
+            (dmt, (2, 2, 2, True)),
+            (m_bar, (2.5, 2, 1.0)),
+            (m_bar, (2, True, 1.0)),
+            (m_bar, (2, 2, True)),
+            (classify_regime, (2.5, 2, 1.0)),
+            (classify_regime, (2, True, 1.0)),
+            (classify_regime, (2, 2, True)),
+            (classify_regime, (2, 3, 1.0)),
+            (predict, (2.5, 2, 2, 1.0)),
+            (predict, (2, True, 2, 1.0)),
+            (predict, (2, 2, 2, True)),
+            (outage_threshold, (2, 2.5, 1.0)),
+            (outage_threshold, (2, 2, "1")),
         ],
         ids=lambda v: getattr(v, "__name__", None) or "-".join(map(str, v)),
     )
