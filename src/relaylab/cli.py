@@ -19,6 +19,7 @@ import argparse
 import configparser
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -493,7 +494,11 @@ def cmd_design_check(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports its own usage errors as one ``error:`` line, exit 2."""
+    """One ``error:`` line per usage error, exit 2; ``-5,0`` or ``-.5`` is a value, not a flag."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise SystemExit(_usage_error(message))

@@ -4,12 +4,12 @@ Trials are independently keyed: trial ``t`` of grid point ``i`` owns the
 random stream ``i * POINT_STRIDE + t``, so outage counts are invariant
 under chunking, scheduling, and worker count, and adding grid points
 never perturbs existing ones. Every mode is vectorised over a batch of
-trials. The ``bound`` mode needs only the two hop Gram spectra per trial
-(closed-form eigenvalues for orders 1 and 2), which makes 1e7-1e8 trials
-per point tractable; from order 3 a Cholesky trace screen spares most
-draws the spectra, counts unchanged. The ``exact`` and ``separate``
-modes take the per-stream SINR of the optimal transceiver from one
-stacked Gram eigendecomposition per hop and the closed-form water level
+trials. The ``bound`` mode needs at most the two hop Gram spectra per
+trial, which makes 1e7-1e8 trials per point tractable: a Cholesky trace
+screen decides most draws exactly, and only the rest reach the spectra
+(closed forms for orders 1 and 2). The ``exact`` and ``separate`` modes
+take the per-stream SINR of the optimal transceiver from one stacked
+Gram eigendecomposition per hop and the closed-form water level
 (``optimal_gamma_batch``), a few times slower per trial than ``bound``.
 
 A point is cut into ``_CHUNK``-trial chunks, the granularity of the
@@ -147,25 +147,20 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 def _count_outages_bound(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> int:
     m_dim, rho = config.m_dim, config.rho
     m = outage_threshold(config.n_s, m_dim, config.rate_bpcu)
-    screened, r_g = 0, min(g.shape[1:])
-    if max(m_dim, r_g) >= 3:
-        # Screen before eigvalsh. With a, b the hop Gram spectra, S = sum 1/(1 + rho a_k)
-        # + 1/(rho b_k + 1 + 1/(rho a_k)) lies in [t_h, t_h + t_g + (M - r_g)^+], where
-        # t = tr((I + rho A)^-1) of the smaller Gram: a second-hop term is at most
-        # 1/(1 + rho b_k), or 1 on padding. eigvalsh moves an eigenvalue by ~eps tr A, and S
-        # is 2rho-Lipschitz in a_k and rho-Lipschitz in b_k; Cholesky is exact for
-        # I + rho A + E, |E| ~ eps (1 + rho tr A), moving t by <= M |E| as I + rho A >= I;
-        # the two Gram products differ by ~eps tr A. So each route is within
-        # c eps M (1 + rho (tr A_h + tr A_g)) of exact for a small c; delta takes c = 1e3.
-        t_h, tr_h = _gram_inv_trace(h, rho)
-        t_g, tr_g = _gram_inv_trace(g, rho)
-        delta = 1e3 * np.finfo(float).eps * m_dim * (1.0 + rho * (tr_h + tr_g))
-        outage = t_h >= m + delta
-        undecided = ~(outage | (t_h + t_g + max(m_dim - r_g, 0) < m - delta))  # NaN: undecided
-        screened = int(np.count_nonzero(outage))
-        h, g = h[undecided], g[undecided]
+    # The trace screen decides most draws, the spectra the rest. With a, b the hop Gram spectra,
+    # S = sum 1/(1 + rho a_k) + 1/(rho b_k + 1 + 1/(rho a_k)) lies in [t_h, t_h + t_g + (M - r_g)^+],
+    # t = tr((I + rho A)^-1) of the smaller Gram, as a second-hop term is at most 1/(1 + rho b_k),
+    # or 1 on padding. A spectrum moves an eigenvalue by ~eps tr A, and S is 2rho-Lipschitz in a_k
+    # and rho-Lipschitz in b_k; Cholesky is exact for I + rho A + E, |E| ~ eps (1 + rho tr A), moving
+    # t by <= M |E| as I + rho A >= I; the Gram products differ by ~eps tr A. So each route is within
+    # c eps M (1 + rho (tr A_h + tr A_g)) of exact for a small c; delta takes c = 1e3.
+    (t_h, tr_h), (t_g, tr_g) = _gram_inv_trace(h, rho), _gram_inv_trace(g, rho)
+    delta = 1e3 * np.finfo(float).eps * m_dim * (1.0 + rho * (tr_h + tr_g))
+    outage = t_h >= m + delta
+    undecided = ~(outage | (t_h + t_g + max(m_dim - min(g.shape[1:]), 0) < m - delta))  # NaN: undecided
+    h, g = h[undecided], g[undecided]
     statistic = bound_statistic(gram_eigvals_desc(h, m_dim), gram_eigvals_desc(g, m_dim), rho)
-    return screened + int(np.count_nonzero(statistic >= m))
+    return int(np.count_nonzero(outage)) + int(np.count_nonzero(statistic >= m))
 
 
 def _count_outages_designed(config: SystemConfig, h: np.ndarray, g: np.ndarray, mode: str) -> int:

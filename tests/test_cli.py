@@ -98,6 +98,8 @@ class TestTheoryCommand:
             ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "nan"]),
             ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "inf"]),
             ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "-0.5"]),
+            ("--rates", ["--ns", "2", "--nr", "2", "--nd", "2", "--rates", "-1,2"]),  # was argparse's error
+            ("--mux", ["--ns", "2", "--nr", "2", "--nd", "2", "--mux", "-.5,1"]),
         ],
     )
     def test_bad_input_exit_2(self, capsys, case):
@@ -204,6 +206,8 @@ class TestSimulateCommand:
             ("--snr-db", ["--snr-db", "10,4000"], None),  # used to exit 1 with an OverflowError
             ("--snr-db", ["--snr-db=-4000,10"], None),  # used to exit 1 naming rho
             ("--adaptive", ["--adaptive"], None),  # the config's target_outages = 0 is fine until then
+            ("--snr-db", ["--snr-db", "-4000,10"], None),  # a list after a space used to be an unknown flag
+            ("--snr-db", ["--snr-db", "-5,x"], None),
         ],
     )
     def test_bad_override_exit_2(self, tmp_path, capsys, monkeypatch, case):

@@ -323,11 +323,13 @@ class TestBoundScreen:
 
     @pytest.mark.parametrize(
         "shape",
-        # n_s > n_r; r_g < M (padded second hop); r_g > M (truncated); order 6
-        [(3, 3, 3), (4, 4, 4), (5, 3, 3), (4, 4, 2), (3, 4, 5), (6, 6, 6)],
+        # n_s > n_r; r_g < M (padded second hop); r_g > M (truncated); order 6;
+        # then orders 1 and 2, whose spectra are closed forms, padded and truncated
+        [(3, 3, 3), (4, 4, 4), (5, 3, 3), (4, 4, 2), (3, 4, 5), (6, 6, 6),
+         (1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (4, 2, 3), (2, 3, 1)],
     )
     def test_counts_equal_direct_route(self, shape):
-        # 85 (rate, SNR) cases of 2,048 draws on each of six shapes: 1.04e6 draws
+        # 85 (rate, SNR) cases of 2,048 draws on each of 13 shapes: 2.26e6 draws
         h, g = sample_realization_batch(SystemConfig(*shape), 41, np.arange(2048, dtype=np.uint64))
         mismatches = []
         for rate in (0.0, 0.3, 1.0, 4.0, 8.0):
@@ -338,16 +340,18 @@ class TestBoundScreen:
                     mismatches.append((rate, snr_db, got, want))
         assert mismatches == []
 
-    def test_most_draws_skip_the_spectrum(self, monkeypatch):
-        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=4.0), 25.0)
+    @pytest.mark.parametrize("shape,rate,snr_db", [((4, 4, 4), 4.0, 25.0), ((2, 2, 2), 0.42, 15.0)])
+    def test_most_draws_skip_the_spectrum(self, shape, rate, snr_db, monkeypatch):
+        config = config_at_snr(SystemConfig(*shape, rate_bpcu=rate), snr_db)
         h, g = sample_realization_batch(config, 42, np.arange(8192, dtype=np.uint64))
         spectrum = _SpectrumRows(monkeypatch)
         _count_outages_bound(config, h, g)
         assert spectrum.rows / 2 < 0.01 * 8192  # one row per hop; under 1% of the draws
 
-    def test_dead_first_hop_is_screened_outage(self, monkeypatch):
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (2, 2, 2)])
+    def test_dead_first_hop_is_screened_outage(self, shape, monkeypatch):
         # S = M exactly, above m at any positive rate: decided by the trace alone
-        config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=1.0), 20.0)
+        config = config_at_snr(SystemConfig(*shape, rate_bpcu=1.0), 20.0)
         _, g = sample_realization_batch(config, 43, np.arange(64, dtype=np.uint64))
         h = np.zeros_like(g)
         spectrum = _SpectrumRows(monkeypatch)
@@ -392,13 +396,15 @@ class TestBoundScreen:
         [
             ((4, 4, 4), 4.0, (10.0, 15.0, 20.0), (7238, 863, 75)),
             ((3, 4, 5), 1.0, (-2.0, -1.0, 0.0), (3689, 805, 101)),
+            ((2, 2, 2), 0.42, (0.0, 2.5, 5.0), (6090, 907, 69)),
         ],
     )
     def test_pinned_counts(self, shape, rate, grid, outages):
-        # Counts of the unscreened eigvalsh route. A change to LAPACK, the
-        # spectrum route, the statistic or the screen that flips one of
-        # them flips published curves: it ships as a versioned results
-        # change that lists every flipped count, not as an edit here.
+        # Counts of the unscreened route (eigvalsh, or the closed forms
+        # of orders 1 and 2). A change to LAPACK, the spectrum route, the
+        # statistic or the screen that flips one of them flips published
+        # curves: it ships as a versioned results change that lists
+        # every flipped count, not as an edit here.
         spec = SweepSpec(SystemConfig(*shape, rate_bpcu=rate), grid, 16384, master_seed=20260808)
         assert tuple(p.outages for p in run_sweep(spec).points) == outages
 
