@@ -116,22 +116,29 @@ def curve_to_csv(curve: OutageCurve) -> str:
 
 
 def read_curve_csv(path: Path, config: SystemConfig | None = None) -> OutageCurve:
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != CURVE_HEADER:
+    """Read a curve file: finite SNRs, strictly ascending; integer 0 <= outages <= trials, trials >= 1;
+    p_out in [0, 1], positive exactly when outages are; CIs in [0, 1]. A row that breaks
+    this raises :class:`ContractViolation` naming the file, line and field."""
+    rows = [(number, ln) for number, ln in enumerate(path.read_text().splitlines(), start=1) if ln.strip()]
+    if not rows or rows[0][1] != CURVE_HEADER:
         raise ContractViolation(f"{path} is not a curve file (bad header)")
+    names = CURVE_HEADER.split(",")
     points = []
-    for ln in lines[1:]:
-        snr_db, p_out, trials, outages, ci_low, ci_high = ln.split(",")
-        points.append(
-            OutagePoint(
-                snr_db=float(snr_db),
-                p_out=float(p_out),
-                trials=int(trials),
-                outages=int(outages),
-                ci_low=float(ci_low),
-                ci_high=float(ci_high),
-            )
-        )
+    for number, ln in rows[1:]:
+        where = f"{path} line {number}"
+        texts = ln.split(",")
+        if len(texts) != len(names):
+            raise ContractViolation(f"{where}: expected {len(names)} fields, got {len(texts)}")
+        row = {name: _parsed(f"{where}: {name}", int if name in ("trials", "outages") else float, text)
+               for name, text in zip(names, texts)}
+        _check_scalar(f"{where}: snr_db", row["snr_db"], low=points[-1].snr_db if points else None, open_low=True)
+        _check_scalar(f"{where}: trials", row["trials"], integer=True, low=1)
+        _check_scalar(f"{where}: outages", row["outages"], integer=True, low=0, high=row["trials"])
+        some = row["outages"] > 0  # p_out > 0 exactly when outages > 0
+        _check_scalar(f"{where}: p_out", row["p_out"], low=0, high=1 if some else 0, open_low=some)
+        for name in ("ci_low", "ci_high"):
+            _check_scalar(f"{where}: {name}", row[name], low=0, high=1)
+        points.append(OutagePoint(**row))
     return OutageCurve(points=tuple(points), mode=None, config=config)
 
 

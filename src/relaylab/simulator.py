@@ -13,11 +13,11 @@ Gram eigendecomposition per hop and the closed-form water level
 (``optimal_gamma_batch``), a few times slower per trial than ``bound``.
 
 A point is cut into ``_CHUNK``-trial chunks, the granularity of the
-adaptive stop, and into ``_BLOCK``-trial blocks at fixed offsets, four
-per chunk, the unit of work handed to the process pool. A block is
-sampled and counted in sub-batches of at most ``_SUB_ENTRIES`` complex
-entries of the larger hop, the unit of compute, so its temporaries stay
-cache-sized. No cut depends on the worker count.
+adaptive stop, and each chunk into blocks at fixed offsets. A block is
+both the unit of work handed to the process pool and the unit of
+compute: it is sampled and counted at once, with at most
+``_SUB_ENTRIES`` complex entries of the larger hop, so its temporaries
+stay cache-sized. Neither cut depends on the worker count.
 """
 
 from __future__ import annotations
@@ -57,12 +57,9 @@ POINT_STRIDE = 2**40
 # this and the block size only affect throughput, never the counts.
 _CHUNK = 32768
 
-# Trials in one pool task; blocks start at multiples of _BLOCK.
-_BLOCK = 8192
-
-# Complex entries of the larger hop sampled and counted at once: 2,048
-# trials of a 4x4x4 block, a whole 2x2x2 block. A whole 4x4x4 block's
-# sampling temporaries, 0.5-2 MB each, spill a 2 MB L2 cache.
+# Complex entries of the larger hop in one block: 8,192 trials at 2x2x2,
+# 2,048 at 4x4x4. Sampling 8,192 trials of 4x4x4 at once makes
+# temporaries of 0.5-2 MB each, which spill a 2 MB L2 cache.
 _SUB_ENTRIES = 32768
 
 _Z95 = 1.959963984540054
@@ -140,7 +137,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Per-chunk trial evaluation
+# Per-block trial evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -172,23 +169,12 @@ def _count_outages_designed(config: SystemConfig, h: np.ndarray, g: np.ndarray, 
     return int(np.count_nonzero(outage))
 
 
-def _count_chunk(
-    config: SystemConfig, mode: str, master_seed: int, point_index: int, start: int, n: int
-) -> int:
-    step = max(1, _SUB_ENTRIES // (config.n_r * max(config.n_s, config.n_d)))
-    outages = 0
-    for s in range(start, start + n, step):
-        streams = point_index * POINT_STRIDE + np.arange(s, min(s + step, start + n), dtype=np.uint64)
-        h, g = sample_realization_batch(config, master_seed, streams)
-        if mode == "bound":
-            outages += _count_outages_bound(config, h, g)
-        else:
-            outages += _count_outages_designed(config, h, g, mode)
-    return outages
-
-
-def _chunk_task(args) -> int:
-    return _count_chunk(*args)
+def _count_block(config: SystemConfig, mode: str, master_seed: int, point_index: int, start: int, n: int) -> int:
+    streams = point_index * POINT_STRIDE + np.arange(start, start + n, dtype=np.uint64)
+    h, g = sample_realization_batch(config, master_seed, streams)
+    if mode == "bound":
+        return _count_outages_bound(config, h, g)
+    return _count_outages_designed(config, h, g, mode)
 
 
 def run_point(
@@ -210,13 +196,14 @@ def run_point(
     the stop unit: with ``adaptive`` the point stops at the first chunk
     boundary where the outage count k reaches ``target_outages``, so its
     estimate k/n is an inverse-binomial one, biased upward. A block is
-    the pool's unit: ``_BLOCK`` trials from each multiple of ``_BLOCK``,
-    the last one shorter, whatever the worker count, and a point of a
-    single block runs in the calling process. A sub-batch of at most
-    ``_SUB_ENTRIES`` entries of the larger hop is the compute unit
-    inside a block. An adaptive point starts a later chunk early only
-    while the consumed prefix projects that it will be needed; what is
-    still pending at the stop is cancelled.
+    the unit of both the pool and the compute: the largest power of two
+    of trials with at most ``_SUB_ENTRIES`` entries of the larger hop,
+    from each multiple of that size, the last one shorter. The plan
+    depends on the shape alone, never on the worker count, and a point
+    of a single block runs in the calling process. An adaptive point
+    starts a later chunk early only while the consumed prefix projects
+    that it will be needed; what is still pending at the stop is
+    cancelled.
     """
     if mode not in OUTAGE_MODES:
         raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}, got {mode!r}")
@@ -226,8 +213,10 @@ def run_point(
     SeedSpec(master_seed, point_index * POINT_STRIDE + trials - 1)  # the seed and the last stream index
     _check_scalar("target_outages", target_outages, integer=True, low=1 if adaptive else None)
     at_snr = config_at_snr(config, snr_db)
-    # (chunk_start, start, n) of every block, in trial order
-    blocks = [(s - s % _CHUNK, s, min(_BLOCK, trials - s)) for s in range(0, trials, _BLOCK)]
+    # (chunk_start, start, n) of every block, in trial order; a block's
+    # trial count is a power of two, so blocks tile every chunk
+    size = 1 << (max(1, _SUB_ENTRIES // (config.n_r * max(config.n_s, config.n_d))).bit_length() - 1)
+    blocks = [(s - s % _CHUNK, s, min(size, trials - s)) for s in range(0, trials, size)]
     tasks = [(at_snr, mode, master_seed, point_index, start, n) for _, start, n in blocks]
 
     def consume(executor: ProcessPoolExecutor | None) -> tuple[int, int]:
@@ -245,9 +234,9 @@ def run_point(
                     # trial s_c) to be needed when k * s_c < target * done
                     or outages * blocks[submitted][0] < target_outages * done
                 ):
-                    futures[submitted] = executor.submit(_chunk_task, tasks[submitted])
+                    futures[submitted] = executor.submit(_count_block, *tasks[submitted])
                     submitted += 1
-                outages += futures.pop(i).result() if i in futures else _chunk_task(tasks[i])
+                outages += futures.pop(i).result() if i in futures else _count_block(*tasks[i])
                 done += n
                 at_boundary = done == trials or done % _CHUNK == 0
                 if adaptive and at_boundary and outages >= target_outages:

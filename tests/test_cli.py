@@ -357,6 +357,44 @@ class TestSlopeCommand:
         assert flag in captured.err
         assert "d_theory" not in captured.out
 
+    @pytest.mark.parametrize(
+        "field,changes",  # the field the error must name; new values for the fields of line 3 (15 dB)
+        [
+            ("p_out", {"p_out": "nan"}),
+            ("trials", {"trials": "-5", "outages": "7"}),  # outages > trials, trials < 0
+            ("outages", {"outages": "1000000000001"}),
+            ("outages", {"outages": "-1"}),
+            ("outages", {"outages": "2.5"}),
+            ("trials", {"trials": "1e12"}),
+            ("trials", {"trials": "0", "outages": "0", "p_out": "0"}),
+            ("snr_db", {"snr_db": "5"}),  # descending grid
+            ("snr_db", {"snr_db": "10"}),  # repeated SNR
+            ("snr_db", {"snr_db": "inf"}),
+            ("snr_db", {"snr_db": "nan"}),
+            ("p_out", {"p_out": "1.5"}),
+            ("p_out", {"p_out": "-0.1"}),
+            ("p_out", {"p_out": "0"}),  # outages, yet p_out = 0
+            ("p_out", {"outages": "0"}),  # p_out > 0 with no outage
+            ("ci_low", {"ci_low": "nan"}),
+            ("ci_low", {"ci_low": "-0.1"}),
+            ("ci_high", {"ci_high": "1.5"}),
+            ("ci_high", {"ci_high": "inf"}),
+            ("expected 6 fields", {"ci_high": None}),
+        ],
+    )
+    def test_malformed_curve_exit_2(self, tmp_path, capsys, field, changes):
+        curve = tmp_path / "curve.csv"
+        self._write_power_law_curve(curve, 1.0)
+        lines = curve.read_text().splitlines()
+        row = dict(zip(CURVE_HEADER.split(","), lines[2].split(",")), **changes)
+        lines[2] = ",".join(value for value in row.values() if value is not None)
+        curve.write_text("\n".join(lines) + "\n")
+        assert main(["slope", "--curve", str(curve)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+        assert f"{curve} line 3: {field}" in captured.err
+
     def test_broken_sibling_manifest_exit_2(self, tmp_path, capsys):
         self._write_power_law_curve(tmp_path / "curve.csv", 1.0)
         (tmp_path / "manifest.txt").write_text("[system]\nn_s = 2\n")
@@ -450,34 +488,79 @@ class TestDesignCheckCommand:
         assert block("2x2x2") == block("1x1x1,2x2x2")
 
 
+def _pinned(label, shape, rate, mode, grid, trials, digest, seed=20260808, adaptive=False, target=200):
+    """One reference spec; an adaptive one runs at workers 1 and 2, a fixed one at workers 1."""
+    case = (shape, rate, mode, grid, trials, seed, adaptive, target, digest)
+    return [pytest.param(case, w, id=label if w == 1 else f"{label}-w{w}") for w in ((1, 2) if adaptive else (1,))]
+
+
 class TestPinnedCurves:
     """curve.csv bytes of reference specs, run through the config parser and
     the CSV writer. The sha256 values were recorded when these specs were
-    first pinned; any change to sampling, counting or formatting shows here."""
+    first pinned; any change to sampling, counting, scheduling or formatting
+    shows here. R = 2 and seed 20260808 unless a case says otherwise."""
 
     @pytest.mark.parametrize(
-        "case",  # (shape, rate, mode, grid, trials, sha256 of curve.csv)
+        "case,workers",  # case: (shape, rate, mode, grid, trials, seed, adaptive, target, sha256 of curve.csv)
         [
-            ((4, 2, 3), 2, "exact", "0, 5, 10, 15, 20, 25, 30", 20000,
-             "44a647ec5eec788ee3fa6d3d463761880d7bbe4c4f367e7beb1db2f865e81fd8"),
-            ((2, 2, 2), 2, "separate", "0, 5, 10, 15, 20", 5000,
-             "150a4d5376022fbdc2f228f4d27b0a39e3cff90bccc38fd86624a001c429d537"),
-            ((2, 2, 1), 2, "bound", "0, 10, 20", 100000,
-             "1acadf0e55e254d3f5ef197a85266096954a096fa72b359b7db52d3408024c72"),
-            ((1, 1, 1), 1, "exact", "0, 10, 20", 100000,
-             "113261c6c42fd4d6786c1be1725f07413c18aad9a6611bfac68f2bb7e087cb73"),
+            *_pinned("exact-4x2x3", (4, 2, 3), 2, "exact", "0, 5, 10, 15, 20, 25, 30", 20000,
+                     "44a647ec5eec788ee3fa6d3d463761880d7bbe4c4f367e7beb1db2f865e81fd8"),
+            *_pinned("separate-2x2x2", (2, 2, 2), 2, "separate", "0, 5, 10, 15, 20", 5000,
+                     "150a4d5376022fbdc2f228f4d27b0a39e3cff90bccc38fd86624a001c429d537"),
+            # Pins little: (M - r_g)^+ = 1 >= m, so S >= m on every draw and p_out = 1 at every point.
+            *_pinned("bound-2x2x1", (2, 2, 1), 2, "bound", "0, 10, 20", 100000,
+                     "1acadf0e55e254d3f5ef197a85266096954a096fa72b359b7db52d3408024c72"),
+            *_pinned("exact-1x1x1", (1, 1, 1), 1, "exact", "0, 10, 20", 100000,
+                     "113261c6c42fd4d6786c1be1725f07413c18aad9a6611bfac68f2bb7e087cb73"),
+            # The two benchmark workloads as they stand.
+            *_pinned("exact-4x2x3-workload", (4, 2, 3), 2, "exact", "10, 30", 2048,
+                     "83305b186e71f8ed9da4501defccdf3f02e9ffb517ccb5bc503ea1c72233783a"),
+            *_pinned("exact-4x2x3-workload-seed401", (4, 2, 3), 2, "exact", "10, 30", 2048,
+                     "c1c61e417093f07967cece5c99240af6625eedc717cc458801bcd65dd1bd0c0e", seed=401),
+            *_pinned("bound-4x4x4-adaptive", (4, 4, 4), 4, "bound", "10, 15, 20, 25, 30", 3 * 32768,
+                     "db2fae2f052831dc863f1c28d59befc1777f88e7635a5a06b0df33857ec9cc3b", adaptive=True),
+            *_pinned("bound-2x2x2", (2, 2, 2), 2, "bound", "10, 15, 20, 25, 30", 200000,
+                     "b3dad45d855d37891fabbd6284e1b4b3a77dca4350cc4e19a15ad4345154edda"),
+            *_pinned("bound-3x2x4", (3, 2, 4), 2, "bound", "0, 10, 20", 100000,
+                     "1701096f6372fac55a3d059a748a81372bd22aab6533efcd3865a448415ed29d"),
+            *_pinned("exact-3x2x4", (3, 2, 4), 2, "exact", "0, 5, 10, 15, 20, 25, 30", 20000,
+                     "987b381732dfb5401d51c7a799eb02fededbc999b54af4ec41ee41003f4217b1"),
+            *_pinned("separate-2x3x2", (2, 3, 2), 2, "separate", "0, 5, 10, 15, 20, 25, 30", 20000,
+                     "e0a67d85dc950d7ac55606e28b37e8bf700b512b1d27b94a498f3122549cc39a"),
+            # Pins little: no outage from 20 dB up.
+            *_pinned("bound-3x3x3", (3, 3, 3), 2, "bound", "0, 5, 10, 15, 20, 25, 30, 35, 40", 100000,
+                     "e4c6315007fd812168faf5ca54d5a4522c4c27e4418e3a6760706660a0ca6bb6"),
+            *_pinned("bound-5x3x3", (5, 3, 3), 2, "bound", "0, 5, 10, 15, 20, 25, 30, 35, 40", 100000,
+                     "18d799d696b51efe60d69b28aaab4202fdb4eeb882e32f63911b410df6f0e8ac"),
+            # Pins little: m = 2 = (M - r_g)^+, so S >= m on every draw and p_out = 1 at every point.
+            *_pinned("bound-4x4x2", (4, 4, 2), 2, "bound", "0, 5, 10, 15, 20, 25, 30, 35, 40", 100000,
+                     "91a9ebbe9487f2c2b6cf83b504121e7b7da62223e13279683008e6b5068047a6"),
+            # Pins little: no outage from 10 dB up.
+            *_pinned("bound-3x4x5", (3, 4, 5), 2, "bound", "0, 5, 10, 15, 20, 25, 30, 35, 40", 100000,
+                     "b10ffebe9e49f390cc3a850d2760791df4040b57111a24f0a6e10d7dd88df42e"),
+            # Outages at every point. Bound mode at R = 0.42 with draws on both sides of the trace
+            # screen: 75,247 / 10,607 / 800 / 33 outages.
+            *_pinned("bound-2x2x2-R0.42", (2, 2, 2), 0.42, "bound", "0, 2.5, 5, 7.5", 200000,
+                     "840212e67df447e9a198ae096d133fb5a3786b8d62e30880211bf1fe20bfe466"),
+            # Exact mode from 9,167 outages at 10 dB down to 34 at 30 dB.
+            *_pinned("exact-2x2x2", (2, 2, 2), 2, "exact", "10, 15, 20, 25, 30", 20000,
+                     "68dd567572aba4cd94ba15774a093b655f4fa68ed72e6c6f84f4944d2b9162ac"),
+            # Adaptive exact mode: stops after chunk 0 (14,998 outages), after chunk 1 (773), and at
+            # the cap (194).
+            *_pinned("exact-2x2x2-adaptive", (2, 2, 2), 2, "exact", "10, 20, 30", 3 * 32768,
+                     "178991ef941e76ffcba0b08522c6e2223133d13a9ea8bbe4938deae4df7efb6d", adaptive=True),
         ],
-        ids=lambda case: f"{case[2]}-{'x'.join(map(str, case[0]))}",
     )
-    def test_curve_sha256(self, tmp_path, capsys, case):
-        (n_s, n_r, n_d), rate, mode, grid, trials, digest = case
+    def test_curve_sha256(self, tmp_path, capsys, case, workers):
+        (n_s, n_r, n_d), rate, mode, grid, trials, seed, adaptive, target, digest = case
         config = tmp_path / "spec.ini"
         config.write_text(
             f"[system]\nn_s = {n_s}\nn_r = {n_r}\nn_d = {n_d}\nrate_bpcu = {rate}\n\n"
             f"[sweep]\nsnr_grid_db = {grid}\ntrials_per_point = {trials}\noutage_mode = {mode}\n"
-            "master_seed = 20260808\n"
+            f"master_seed = {seed}\nadaptive = {str(adaptive).lower()}\ntarget_outages = {target}\n"
         )
-        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "run"), "--workers", "1"])
+        code = main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "run"),
+                     "--workers", str(workers)])
         capsys.readouterr()
         assert code == EXIT_OK
         assert hashlib.sha256((tmp_path / "run" / "curve.csv").read_bytes()).hexdigest() == digest

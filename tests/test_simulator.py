@@ -27,7 +27,7 @@ from relaylab.transceiver import optimal_gamma_batch
 
 CFG_222 = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
 CHUNK = 32768  # trials between adaptive-stop checks (simulator._CHUNK)
-BLOCK = 8192  # trials in one pool task (simulator._BLOCK)
+BLOCK = 8192  # trials in one 2x2x2 block, the pool's and the compute's unit
 
 
 class _RecordingExecutor(ThreadPoolExecutor):
@@ -37,9 +37,9 @@ class _RecordingExecutor(ThreadPoolExecutor):
         super().__init__(max_workers=workers)
         self.submitted: list[tuple[int, int]] = []
 
-    def submit(self, fn, task):
-        self.submitted.append(tuple(task[-2:]))
-        return super().submit(fn, task)
+    def submit(self, fn, *task):
+        self.submitted.append(task[-2:])
+        return super().submit(fn, *task)
 
 
 def _synthetic_curve(snr_db, p_values, trials=10**6, config=CFG_222):
@@ -454,44 +454,49 @@ class _SampledRows:
 
 
 class TestSubBatches:
-    """``_count_chunk`` samples and counts a block in sub-batches of at most
-    ``_SUB_ENTRIES`` complex entries of the larger hop."""
+    """A block is one cache-sized batch: the largest power of two of trials
+    with at most ``_SUB_ENTRIES`` complex entries of the larger hop, sampled
+    and counted at once, and handed to the pool whole."""
 
     @pytest.mark.parametrize("mode", OUTAGE_MODES)
-    @pytest.mark.parametrize("shape,sizes", [((3, 5, 4), [1638, 1638, 1638, 86]), ((4, 4, 4), [2048, 2048, 904])])
+    @pytest.mark.parametrize("shape,sizes", [((3, 5, 4), [1024] * 4 + [904]), ((4, 4, 4), [2048, 2048, 904])])
     def test_counts_equal_one_shot(self, shape, sizes, mode, monkeypatch):
-        config = config_at_snr(SystemConfig(*shape, rate_bpcu=4.0), 10.0)
-        args = (config, mode, 20260808, 2, 3 * BLOCK, 5000)  # a later point, a block past the first chunk
+        args = (SystemConfig(*shape, rate_bpcu=4.0), 10.0, 5000, mode, 20260808)
         sampled = _SampledRows(monkeypatch)
-        batched = simulator._count_chunk(*args)
+        batched = run_point(*args, point_index=2)  # a later point
         monkeypatch.setattr(simulator, "_SUB_ENTRIES", 2**40)
-        assert simulator._count_chunk(*args) == batched
+        assert run_point(*args, point_index=2) == (batched[0], 5000)
         assert sampled.sizes == sizes + [5000]
-        assert 0 < batched < 5000
+        assert 0 < batched[0] < 5000
 
     @pytest.mark.parametrize(
-        "shape,n,sizes",
+        "shape,n,size",
         [
-            ((2, 2, 2), BLOCK, [BLOCK]),
-            ((4, 4, 4), BLOCK, [2048] * 4),
-            ((4, 2, 3), BLOCK, [4096] * 2),
-            ((4, 2, 3), 2048, [2048]),  # the blocks of exact-4x2x3's 2,048-trial points
+            ((2, 2, 2), CHUNK, BLOCK),
+            ((2, 2, 1), CHUNK, BLOCK),
+            ((4, 2, 3), CHUNK, 4096),
+            ((4, 4, 4), CHUNK, 2048),
+            ((3, 4, 5), CHUNK + 1500, 1024),
+            ((1, 1, 1), 2 * CHUNK + 1500, CHUNK),
+            ((4, 2, 3), 2048, 4096),  # a point of exact-4x2x3: one block, counted in process
         ],
     )
-    def test_sub_batches_per_block(self, shape, n, sizes, monkeypatch):
-        sampled = _SampledRows(monkeypatch)
-        simulator._count_chunk(config_at_snr(SystemConfig(*shape, rate_bpcu=2.0), 20.0), "bound", 5, 0, 0, n)
-        assert sampled.sizes == sizes
+    def test_blocks_per_chunk(self, shape, n, size):
+        with _RecordingExecutor(2) as executor:
+            run_point(SystemConfig(*shape, rate_bpcu=2.0), 20.0, n, "bound", master_seed=5, workers=2,
+                      _executor=executor)
+        plan = [(s, min(size, n - s)) for s in range(0, n, size)]
+        assert executor.submitted == (plan if len(plan) > 1 else [])
 
     def test_block_working_set(self):
-        # Traced peak of a 4x4x4 bound block: 10.1 MiB sampled in one shot,
-        # 3.5 MiB in sub-batches. A change that regrows it fails here.
+        # Traced peak of a 4x4x4 bound block: 10.1 MiB at 8,192 trials,
+        # 2.5 MiB at its planned 2,048. A change that regrows it fails here.
         config = config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=4.0), 20.0)
-        simulator._count_chunk(config, "bound", 20260808, 0, 0, BLOCK)  # lazy imports and caches
+        simulator._count_block(config, "bound", 20260808, 0, 0, 2048)  # lazy imports and caches
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            simulator._count_chunk(config, "bound", 20260808, 0, 0, BLOCK)
+            simulator._count_block(config, "bound", 20260808, 0, 0, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
