@@ -61,6 +61,12 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
+def _echo(x: float) -> str:
+    # A manifest must parse back to its spec: the short text where it reads back exactly.
+    text = _fmt(x)
+    return text if float(text) == x else repr(float(x))
+
+
 def _usage_error(message: str) -> int:
     # One ``error:`` line on stderr, whatever line breaks the message carries.
     print(f"error: {' '.join(message.split())}", file=sys.stderr)
@@ -149,8 +155,8 @@ _SPEC_FIELDS = (
     ("system", "n_s", int, str, None),
     ("system", "n_r", int, str, None),
     ("system", "n_d", int, str, None),
-    ("system", "rate_bpcu", float, _fmt, None),
-    ("sweep", "snr_grid_db", _parse_floats, lambda grid: ", ".join(map(_fmt, grid)), None),
+    ("system", "rate_bpcu", float, _echo, None),
+    ("sweep", "snr_grid_db", _parse_floats, lambda grid: ", ".join(map(_echo, grid)), None),
     ("sweep", "trials_per_point", int, str, None),
     ("sweep", "outage_mode", str, str, "bound"),
     ("sweep", "master_seed", int, str, 0),

@@ -135,6 +135,19 @@ def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _philox_rounds(master_seed: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
+    # The ten rounds on counter words that need only broadcast together:
+    # a round's outputs take the shapes of the inputs they read.
+    ks0, ks1 = _philox_round_keys(master_seed)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
+        hi1 ^= ks0[r]
+        hi0 ^= ks1[r]
+        c0, c1, c2, c3 = hi1 ^ c1, lo1, hi0 ^ c3, lo0
+    return c0, c1, c2, c3
+
+
 def philox4x64_block(master_seed: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]:
     """Philox-4x64-10 keyed by ``master_seed``: counter columns -> word columns.
 
@@ -142,20 +155,8 @@ def philox4x64_block(master_seed: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]
     counter ``c + 1``; this function evaluates the block of ``c`` itself).
     """
     # 1-d minimum: numpy scalar arithmetic warns on the intended wraparound.
-    c0 = np.atleast_1d(np.asarray(c0, dtype=_U64)).copy()
-    c1 = np.atleast_1d(np.asarray(c1, dtype=_U64)).copy()
-    c2 = np.atleast_1d(np.asarray(c2, dtype=_U64)).copy()
-    c3 = np.atleast_1d(np.asarray(c3, dtype=_U64)).copy()
-    ks0, ks1 = _philox_round_keys(master_seed)
-    for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M0, c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M1, c2)
-        hi1 ^= c1
-        hi1 ^= ks0[r]
-        hi0 ^= c3
-        hi0 ^= ks1[r]
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return c0, c1, c2, c3
+    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=_U64)) for c in (c0, c1, c2, c3)))
+    return _philox_rounds(master_seed, *cols)
 
 
 def _uniform_words(master_seed: int, lane: int, streams: np.ndarray, n_words: int) -> np.ndarray:
@@ -163,17 +164,21 @@ def _uniform_words(master_seed: int, lane: int, streams: np.ndarray, n_words: in
 
     Stream ``s`` of lane ``l`` reads counter blocks (b, l, s, 0) for
     b = 0, 1, ...; 53-bit mantissas from the high bits of each word.
+    The counter varies only in b and s, so the rounds start on a
+    (1, n_blocks) block plane and an (n, 1) stream plane. After round 1,
+    words 0-1 depend on s alone and words 2-3 on b alone, so round 2
+    still multiplies on those planes; only its XORs broadcast to the full
+    (n, n_blocks) planes that rounds 3-10 work on.
     """
     n = streams.shape[0]
     n_blocks = -(-n_words // _WORDS_PER_BLOCK)
-    c0 = np.broadcast_to(np.arange(n_blocks, dtype=_U64), (n, n_blocks)).reshape(-1)
-    c1 = np.broadcast_to(_U64(lane), c0.shape)
-    c2 = np.repeat(streams.astype(_U64), n_blocks)
-    c3 = np.zeros_like(c0)
-    words = philox4x64_block(master_seed, c0, c1, c2, c3)
-    u = np.empty((n * n_blocks, _WORDS_PER_BLOCK), dtype=np.float64)
+    zero = np.zeros((1, 1), dtype=_U64)
+    words = _philox_rounds(
+        master_seed, np.arange(n_blocks, dtype=_U64)[None, :], zero + _U64(lane), streams.astype(_U64)[:, None], zero
+    )
+    u = np.empty((n, n_blocks, _WORDS_PER_BLOCK), dtype=np.float64)
     for j in range(_WORDS_PER_BLOCK):
-        u[:, j] = (words[j] >> _U64(11)).astype(np.float64)
+        u[..., j] = words[j] >> _U64(11)
     u *= 2.0**-53
     return u.reshape(n, n_blocks * _WORDS_PER_BLOCK)[:, :n_words]
 

@@ -16,6 +16,7 @@ from relaylab.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     main,
+    manifest_text,
     parse_sweep_config,
     read_curve_csv,
     spec_echo_text,
@@ -325,6 +326,18 @@ class TestSlopeCommand:
         assert "d_hat     = 3.0000" in out
         assert "n/a" in out  # no config available
 
+    def test_d_theory_from_unrounded_manifest(self, tmp_path, capsys):
+        # 4x2x3 has d = 2 just below R = 2 and d = 0 at R = 2 itself: a sibling
+        # manifest that rounds the rate to 10 digits reports the wrong theory
+        config = tmp_path / "sweep.ini"
+        config.write_text("[system]\nn_s = 4\nn_r = 2\nn_d = 3\nrate_bpcu = 1.99999999999\n\n"
+                          "[sweep]\nsnr_grid_db = 10.00000000001, 20, 30\ntrials_per_point = 100\n")
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "run")]) == EXIT_OK
+        self._write_power_law_curve(tmp_path / "run" / "curve.csv", 2.0)
+        capsys.readouterr()
+        assert main(["slope", "--curve", str(tmp_path / "run" / "curve.csv")]) == EXIT_OK
+        assert "d_theory  = 2\n" in capsys.readouterr().out
+
     def test_curve_without_config_has_none(self, tmp_path):
         curve_path = tmp_path / "curve.csv"
         self._write_power_law_curve(curve_path, 3.0)
@@ -573,6 +586,14 @@ class TestConfigParsing:
         assert spec.snr_grid_db == (5.0, 10.0, 15.0)
         assert spec.trials_per_point == 2000
         assert spec.master_seed == 77
+
+    def test_manifest_round_trips_unrounded_floats(self, tmp_path):
+        spec = SweepSpec(SystemConfig(4, 2, 3, rate_bpcu=1.99999999999), (10.00000000001, 20.0, 30.0), 100)
+        path = tmp_path / "manifest.txt"
+        path.write_text(manifest_text(spec, "start", "end", 1, {"curve": "curve.csv"}))
+        assert parse_sweep_config(path) == spec
+        assert "rate_bpcu = 1.99999999999\n" in path.read_text()
+        assert "snr_grid_db = 10.00000000001, 20, 30\n" in path.read_text()
 
     def test_echo_text_bytes(self):
         # manifests written before the config became a field table must still round-trip

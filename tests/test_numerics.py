@@ -13,6 +13,8 @@ from relaylab.numerics import (
     NumericalRankError,
     SeedSpec,
     _gram_inv_trace,
+    _philox_key,
+    _uniform_words,
     eig_hermitian_desc,
     gram_eigvals_desc,
     philox4x64_block,
@@ -36,13 +38,25 @@ class TestPhilox:
         for _ in range(25):
             seed = int(rng.integers(0, 2**63))
             ctr = rng.integers(0, 2**62, size=4, dtype=np.uint64)
-            from relaylab.numerics import _philox_key
-
             k0, k1 = _philox_key(seed)
             ref = np.random.Philox(key=np.array([k0, k1], dtype=np.uint64), counter=ctr)
             expect = ref.random_raw(4)
             mine = philox4x64_block(seed, ctr[0] + 1, ctr[1], ctr[2], ctr[3])
             assert np.array_equal(np.stack(mine).ravel(), expect)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("lane", [0, 1])
+    @pytest.mark.parametrize("n_words", [2, 6, 30, 32])
+    def test_uniform_words_match_numpy_stream_by_stream(self, seed, lane, n_words):
+        # Stream s of lane l reads counter blocks (b, l, s, 0), b = 0, 1, ...:
+        # numpy's Philox from counter s 2^128 + l 2^64 - 1 emits exactly those.
+        streams = np.array([0, 2**64 - 1], dtype=np.uint64)
+        u = _uniform_words(seed, lane, streams, n_words)
+        key = np.array(_philox_key(seed), dtype=np.uint64)
+        for s, row in zip(streams, u):
+            counter = (int(s) * 2**128 + lane * 2**64 - 1) % 2**256
+            raw = np.random.Philox(key=key, counter=counter).random_raw(n_words)
+            assert np.array_equal(row, (raw >> np.uint64(11)) * 2.0**-53)
 
     def test_determinism(self):
         a = sample_complex_gaussian(3, 4, SeedSpec(42, 7))
