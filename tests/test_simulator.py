@@ -508,36 +508,53 @@ class TestSubBatches:
         assert peak <= 5_000_000
 
 
-def _has_mallopt() -> bool:
+def _has_heap_calls() -> bool:
     try:
-        return hasattr(ctypes.CDLL(None), "mallopt")
+        libc = ctypes.CDLL(None)
     except (OSError, TypeError):
         return False
+    return hasattr(libc, "mallopt") and hasattr(libc, "mallinfo2")
 
 
 _REPEATED_BLOCKS = """
-import resource
+import ctypes, resource
 from relaylab import simulator
 from relaylab.channel import SystemConfig, config_at_snr
+
+class Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in
+                "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+
+def system_bytes():
+    info = mallinfo2()
+    return info.arena + info.hblkhd
+
 block = (config_at_snr(SystemConfig(4, 4, 4, rate_bpcu=4.0), 20.0), "bound", 20260808, 0, 0, 2048)
-simulator._count_block(*block)  # warm-up: imports, caches and the heap's high-water mark
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulator._count_block(*block)  # warm-up: imports and caches
+before, held = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, system_bytes()
 for _ in range(10):
     simulator._count_block(*block)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, (system_bytes() - held) // resource.getpagesize())
 """
 
 
-@pytest.mark.skipif(not _has_mallopt(), reason="no mallopt in this C library")
+@pytest.mark.skipif(not _has_heap_calls(), reason="no mallopt or mallinfo2 in this C library")
 def test_blocks_reuse_the_heap():
     # At glibc's default thresholds every 2,048-trial 4x4x4 block faults its
     # temporaries in again: ~3,600 minor faults over these 10 blocks, ~1,500
-    # with only the trim threshold raised. Keeping the heap leaves ~30. The
-    # block repeats, so no fault here is the heap's first growth.
+    # with only the trim threshold raised. Keeping the heap leaves ~30. As
+    # the heap fragments it can still grow by ~0.5 MB in any one of the first
+    # dozen blocks; which one depends on the process's layout (the size of
+    # its environment moves it). Those are first touches of new heap pages,
+    # so the faults are counted beyond the pages the heap grew by.
     src = Path(simulator.__file__).resolve().parents[1]
     done = subprocess.run([sys.executable, "-c", _REPEATED_BLOCKS], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True)
-    assert int(done.stdout) < 100
+    faults, grown_pages = map(int, done.stdout.split())
+    assert faults - grown_pages < 100, (faults, grown_pages)
 
 
 class TestRunSweep:
