@@ -52,8 +52,8 @@ class MiReport:
 
 def _clip_gamma(gamma: np.ndarray) -> np.ndarray:
     gamma = np.asarray(gamma, dtype=np.float64)
-    if np.any(gamma < -GAMMA_CLIP):
-        raise ContractViolation(f"negative SINR beyond round-off: min {gamma.min():.3e}")
+    if not np.all(gamma >= -GAMMA_CLIP):  # NaN fails the comparison too
+        raise ContractViolation(f"SINR must not be NaN or negative beyond round-off: min {gamma.min():.3e}")
     return np.maximum(gamma, 0.0)
 
 
@@ -61,8 +61,9 @@ def mutual_info_joint(gamma: np.ndarray) -> float | np.ndarray:
     """Rate of jointly-encoded streams, ``(1/2) sum_k log2(1 + gamma_k)``
     in bits per channel use.
 
-    Tiny negative SINRs from round-off are clipped to zero. A vector
-    gives a float; a stack (n, M) gives one rate per row.
+    Tiny negative SINRs from round-off are clipped to zero; a NaN or a
+    more negative SINR raises ContractViolation. A vector gives a float;
+    a stack (n, M) gives one rate per row.
     """
     rate = 0.5 * np.sum(np.log1p(_clip_gamma(gamma)), axis=-1) / math.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
@@ -134,7 +135,8 @@ def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.
 
     A stream rate exactly equal to its share counts as delivered. This
     baseline models separately-encoded antennas; its diversity does not
-    improve as the rate drops. A vector gives a bool; a stack (n, M)
+    improve as the rate drops. SINRs are checked as in
+    :func:`mutual_info_joint`. A vector gives a bool; a stack (n, M)
     gives one indicator per row.
     """
     gamma = _clip_gamma(gamma)

@@ -9,8 +9,10 @@ trial, which makes 1e7-1e8 trials per point tractable: a Cholesky trace
 screen decides most draws exactly, and only the rest reach the spectra
 (closed forms for orders 1 and 2). The ``exact`` and ``separate`` modes
 take the per-stream SINR of the optimal transceiver from one stacked
-Gram eigendecomposition per hop and the closed-form water level
-(``optimal_gamma_batch``), a few times slower per trial than ``bound``.
+eigendecomposition of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``)
+and the closed-form water level (``optimal_gamma_batch``), a few times
+slower per trial than ``bound``: ``mse_i = rho + sum_{k<M} |V_ik|^2
+(1 / (phi_k^2 lambda_g_k + 1/lambda_y_k) - lambda_y_k)``.
 
 A point is cut into ``_CHUNK``-trial chunks, the granularity of the
 adaptive stop, and each chunk into blocks at fixed offsets. A block is

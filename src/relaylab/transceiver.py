@@ -12,10 +12,11 @@ evaluating arbitrary (non-optimal) relay matrices.
 The water level has a closed form on the active set of modes, which
 the per-draw design and the batched one share. For Monte Carlo work,
 ``optimal_gamma_batch`` gives the per-stream SINR of the optimal design
-for a whole stack of draws from two stacked Gram eigendecompositions,
-without forming ``Q`` or ``W``: with the optimal precoder,
-``R_y = rho I - (H^H H + I/rho)^-1`` shares its eigenvectors with
-``H^H H``. ``build_design`` with ``error_cov_decomposed`` /
+for a whole stack of draws without forming ``Q`` or ``W``, from one
+eigendecomposition of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``)
+and the spectrum of ``G^H G``: each stream's MSE is ``rho`` plus a sum
+over the M live modes of ``|V_ik|^2 (1 / (phi_k^2 lambda_g_k +
+1/lambda_y_k) - lambda_y_k)``. ``build_design`` with ``error_cov_decomposed`` /
 ``error_cov_direct`` stays the per-draw oracle it is checked against.
 
 Everything here works for any antenna configuration, including more
@@ -147,9 +148,9 @@ def waterfill_phi_batch(
         raise ContractViolation(
             f"eigenvalue stacks must share one (n, M) shape, got {lambda_y.shape} and {lambda_g.shape}"
         )
-    if np.any(lambda_y < 0) or np.any(lambda_g < 0):
-        raise ContractViolation("eigenvalues must be nonnegative")
     for name, vec in (("lambda_y", lambda_y), ("lambda_g", lambda_g)):
+        if not np.all((vec >= 0.0) & (vec < np.inf)):  # NaN fails both comparisons
+            raise ContractViolation(f"{name} must be finite and nonnegative")
         if np.any(np.diff(vec, axis=1) > 1e-12 * (1.0 + vec[:, :-1])):
             raise ContractViolation(f"{name} must be sorted descending")
     if not (math.isfinite(p_r) and p_r > 0):
@@ -315,18 +316,18 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     """Per-stream SINR of the optimal design for a stack of draws.
 
     ``h`` is (n, n_r, n_s) and ``g`` is (n, n_d, n_r); returns (n, n_s).
-    With eigenpairs ``(lambda_h, V)`` of ``H^H H`` (descending) the
-    receiver-output eigenvalues are
-    ``lambda_y = rho^2 lambda_h / (rho lambda_h + 1)`` on the same
-    eigenvectors, and the per-stream MSE is
+    The M live eigenpairs ``(lambda_k, v_k)`` of ``H^H H`` come from the
+    order-M Gram: ``H^H H`` when n_s <= n_r, else ``H H^H`` with
+    eigenvectors ``u_k`` and ``v_k = H^H u_k / sqrt(lambda_k)``. With
+    ``lambda_y = rho^2 lambda / (rho lambda + 1)`` on the same eigenvectors,
+    ``V`` unitary and ``1/(lambda + 1/rho) - rho = -lambda_y``, the diagonal
+    of the two-term error covariance sums over the live modes only:
 
-        mse_i = sum_k |V_ik|^2 (1 / (lambda_h_k + 1/rho)
-                                + [k < M] / (phi_k^2 lambda_g_k + 1 / lambda_y_k)),
+        mse_i = rho + sum_{k<M} |V_ik|^2 (1 / (phi_k^2 lambda_g_k + 1/lambda_y_k) - lambda_y_k).
 
-    the diagonal of the two-term error covariance. A dead hop needs no
-    fallback: ``lambda_y = 0`` or ``lambda_g = 0`` makes the second term
-    equal the first hop's complement, so ``gamma = 0`` as the direct
-    formula gives for ``Q = 0``.
+    The bracket is summed as ``-a_k lambda_y_k / (a_k + 1)``, ``a_k = phi_k^2
+    lambda_g_k lambda_y_k``, and ``gamma = (rho - mse) / mse``: nothing cancels,
+    a mode with ``lambda_k = 0`` weighs zero and a dead hop gives ``gamma = 0``.
     """
     n_s, n_r, n_d, m = config.n_s, config.n_r, config.n_d, config.m_dim
     h = np.asarray(h, dtype=np.complex128)
@@ -335,22 +336,25 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
         raise ContractViolation(
             f"channel stacks {h.shape}/{g.shape} do not match config {config.shape_label}"
         )
+    for name, stack in (("h", h), ("g", g)):
+        if not np.isfinite(stack).all():
+            raise ContractViolation(f"channel stack {name} has NaN or infinite entries")
     rho = config.rho
-    lambda_h, v = np.linalg.eigh(h.conj().swapaxes(-1, -2) @ h)
-    lambda_h = np.maximum(lambda_h[:, ::-1], 0.0)
-    lambda_h[:, m:] = 0.0  # rank of H^H H is min(n_s, n_r) = M
-    v = v[:, :, ::-1]
+    herm = h.conj().swapaxes(-1, -2)
+    wide = n_s > n_r
+    lam, u = np.linalg.eigh(h @ herm if wide else herm @ h)
+    lam = np.maximum(lam[:, ::-1], 0.0)
+    v = herm @ u[:, :, ::-1] if wide else u[:, :, ::-1]  # wide: sqrt(lambda_k) v_k
     weights = v.real**2 + v.imag**2
-    lambda_g = gram_eigvals_desc(g, m)
+    if wide:
+        weights *= np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)[:, None, :]
 
-    top = lambda_h[:, :m]
-    lambda_y = rho**2 * top / (rho * top + 1.0)
+    lambda_y = rho**2 * lam / (rho * lam + 1.0)
+    lambda_g = gram_eigvals_desc(g, m)
     phi, _ = waterfill_phi_batch(lambda_y, lambda_g, config.p_r)
-    per_mode = 1.0 / (lambda_h + 1.0 / rho)
-    with np.errstate(divide="ignore"):
-        per_mode[:, :m] += 1.0 / (phi**2 * lambda_g + 1.0 / lambda_y)
-    mse = np.einsum("nik,nk->ni", weights, per_mode)
-    return rho / mse - 1.0
+    gain = phi**2 * lambda_g * lambda_y
+    gained = np.einsum("nik,nk->ni", weights, gain * lambda_y / (gain + 1.0))  # rho - mse
+    return gained / (rho - gained)
 
 
 def relay_power(h: np.ndarray, q: np.ndarray, rho: float) -> float:

@@ -48,6 +48,13 @@ class TestMutualInfo:
         with pytest.raises(ContractViolation):
             mutual_info_joint(np.array([-1e-3]))
 
+    def test_rejects_nan(self):
+        # a NaN rate would read as "not in outage" (nan <= R is False)
+        with pytest.raises(ContractViolation, match="NaN"):
+            mutual_info_joint(np.array([np.nan, 1.0]))
+        with pytest.raises(ContractViolation, match="NaN"):
+            mutual_info_joint(np.array([[1.0, 1.0], [1.0, np.nan]]))
+
 
 class TestLowerBound:
     def test_scalar_hand_value(self):
@@ -114,6 +121,10 @@ class TestOutageSeparate:
 
     def test_low_rate(self):
         assert not outage_separate(np.array([1.0, 1.0]), rate_bpcu=0.42, n_s=2)
+
+    def test_rejects_nan(self):
+        with pytest.raises(ContractViolation, match="NaN"):
+            outage_separate(np.array([np.nan, 1.0]), rate_bpcu=1.0, n_s=2)
 
 
 class TestJensenChainAndInclusion:

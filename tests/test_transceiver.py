@@ -30,7 +30,8 @@ from relaylab.transceiver import (
     waterfill_phi_batch,
 )
 
-SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 2, 1), (4, 2, 3)]
+# (5, 3, 3) and (3, 1, 2) take the order-M Gram H H^H of h at orders 3 and 1
+SHAPES = [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 2, 4), (2, 2, 1), (4, 2, 3), (5, 3, 3), (3, 1, 2)]
 
 
 def _draw(shape, rho, seed, stream):
@@ -143,6 +144,17 @@ class TestWaterfill:
         with pytest.raises(ContractViolation):
             waterfill_phi(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("stack", ["lambda_y", "lambda_g"])
+    def test_rejects_non_finite_eigenvalues(self, stack, bad):
+        def args(vec):
+            return (vec, np.ones_like(vec)) if stack == "lambda_y" else (np.ones_like(vec), vec)
+
+        with pytest.raises(ContractViolation, match=stack):
+            waterfill_phi(*args(np.array([bad, 1.0])), 1.0)
+        with pytest.raises(ContractViolation, match=stack):
+            waterfill_phi_batch(*args(np.array([[2.0, 1.0], [1.0, bad]])), 1.0)
+
     def test_rejects_non_finite_budget(self):
         for p_r in (float("nan"), float("inf")):
             with pytest.raises(ContractViolation):
@@ -164,11 +176,13 @@ class TestWaterfill:
 
 class TestOptimalGammaBatch:
     def test_matches_decomposed_route(self):
-        # 1e4 draws over every shape and three SNRs against the per-draw design
-        draws = 10_000 // (len(SHAPES) * 3) + 1
+        # 1e4 draws over every shape and four SNRs against the per-draw design
+        # (1e3 is the 30 dB top of the exact-mode workloads)
+        rhos = (1.0, 10.0, 100.0, 1000.0)
+        draws = 10_000 // (len(SHAPES) * len(rhos)) + 1
         worst = 0.0
         for shape in SHAPES:
-            for rho in (1.0, 10.0, 100.0):
+            for rho in rhos:
                 config = SystemConfig(*shape, rho=rho)
                 h, g = sample_realization_batch(config, 23, np.arange(draws, dtype=np.uint64))
                 batched = optimal_gamma_batch(config, h, g)
@@ -195,6 +209,34 @@ class TestOptimalGammaBatch:
             direct = error_cov_direct(config, chan, build_design(config, chan).q).gamma
             assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(batched[:3])) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (5, 3, 3)])
+    def test_rank_one_first_hop_matches_direct_route(self, shape):
+        # h = s1 a1 b1^H + s2 a2 b2^H with s2 / s1 = 0 or 1e-7: the small
+        # modes of the order-M Gram must give finite, oracle-equal SINRs
+        n_s, n_r, n_d = shape
+        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=100.0)
+        h, g = sample_realization_batch(config, 26, np.arange(8, dtype=np.uint64))
+        for i in range(8):
+            a, s, bh = np.linalg.svd(h[i], full_matrices=False)
+            s[1] = 0.0 if i % 2 == 0 else 1e-7 * s[0]
+            s[2:] = 0.0
+            h[i] = (a * s) @ bh
+        batched = optimal_gamma_batch(config, h, g)
+        assert np.all(np.isfinite(batched))
+        for i in range(8):
+            chan = ChannelRealization(h=h[i], g=g[i])
+            direct = error_cov_direct(config, chan, build_design(config, chan).q).gamma
+            assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("stack", ["h", "g"])
+    def test_rejects_non_finite_channels(self, stack, bad):
+        config = SystemConfig(n_s=4, n_r=2, n_d=3, rho=10.0)
+        h, g = sample_realization_batch(config, 27, np.arange(3, dtype=np.uint64))
+        (h if stack == "h" else g)[1, 0, 1] = bad
+        with pytest.raises(ContractViolation, match=f"stack {stack} "):
+            optimal_gamma_batch(config, h, g)
 
     def test_rejects_mismatched_stacks(self):
         config = SystemConfig(n_s=2, n_r=2, n_d=2, rho=10.0)
