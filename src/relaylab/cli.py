@@ -32,6 +32,7 @@ from . import __version__, theory
 from .channel import ChannelRealization, SystemConfig, sample_realization
 from .numerics import _MAX_U64, ContractViolation, SeedSpec, _check_scalar
 from .simulator import (
+    OUTAGE_MODES,
     FitInfeasibleError,
     OutageCurve,
     OutagePoint,
@@ -394,7 +395,6 @@ def run_design_check(
     draws: int,
     rho: float,
     master_seed: int,
-    inject_fault: bool = False,
 ) -> list[_ShapeCheck]:
     """Identity/power battery over seeded draws, one pass per draw.
 
@@ -406,15 +406,14 @@ def run_design_check(
     perturbation of the water-filling lowers the second-hop MSE. The
     random precoder and the perturbations come from a generator keyed by
     ``(master_seed, draw)``, so every figure of a draw depends on the seed
-    and the draw alone. A fault injection mode mis-accounts the relay
-    power to prove the harness catches violations.
+    and the draw alone.
     """
     results = []
     for shape in shapes:
         n_s, n_r, n_d = shape
         m = min(n_s, n_r)
-        budget = rho * n_s
-        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho, p_r=budget * (1.2 if inject_fault else 1.0))
+        config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho)
+        budget = config.p_r
         values = np.zeros((len(_CHECK_TOLERANCES), draws))
         breaches: list[str] = []
 
@@ -487,7 +486,7 @@ def cmd_design_check(args: argparse.Namespace) -> int:
     _check_scalar("--rho", args.rho, low=0, open_low=True)
     _check_scalar("--seed", args.seed, integer=True, low=0, high=_MAX_U64)
     _check_scalar("--draws", args.draws, integer=True, low=1)
-    results = run_design_check(shapes, args.draws, args.rho, args.seed, inject_fault=args.inject_fault)
+    results = run_design_check(shapes, args.draws, args.rho, args.seed)
     for result in results:
         print(f"shape {'x'.join(map(str, result.shape))}: {'ok' if result.ok else 'FAIL'}")
         for key, (value, draw) in result.worst.items():
@@ -537,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo outage sweep")
     p_sim.add_argument("--config", required=True, help="sweep config file")
     p_sim.add_argument("--out-dir", required=True, help="directory for curve.csv and manifest.txt")
-    p_sim.add_argument("--mode", choices=["exact", "bound", "separate"])
+    p_sim.add_argument("--mode", choices=OUTAGE_MODES)
     p_sim.add_argument("--trials", type=int, help="override trials per point")
     p_sim.add_argument("--snr-db", help="override SNR grid, comma-separated dB values")
     p_sim.add_argument("--seed", type=int, help="override master seed (beats RELAYLAB_SEED)")
@@ -560,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--draws", type=int, default=500)
     p_check.add_argument("--rho", type=float, default=10.0)
     p_check.add_argument("--seed", type=int, default=0)
-    p_check.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p_check.set_defaults(func=cmd_design_check)
 
     return parser

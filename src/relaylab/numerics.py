@@ -290,17 +290,15 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` eigenvalues of ``A^H A`` for each ``A`` of an (n, r, c) stack.
 
     Returns (n, k), each row descending. The spectrum is taken from the
-    smaller of ``A A^H`` and ``A^H A`` (closed form for orders 1 and 2,
-    ``eigvalsh`` otherwise), clipped at 0, and padded with exact zeros
-    beyond the rank bound min(r, c). Row ``i`` depends on ``mats[i]``
-    only, so a one-matrix stack gives the same bits as the full batch.
+    smaller of ``A A^H`` and ``A^H A`` (closed form for order 2, ``eigvalsh``
+    otherwise), clipped at 0, and padded with exact zeros beyond the rank
+    bound min(r, c). Row ``i`` depends on ``mats[i]`` only, so a
+    one-matrix stack gives the same bits as the full batch.
     """
     order = min(mats.shape[1:])
     herm = mats.conj().swapaxes(-1, -2)
     gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
-    if order == 1:
-        values = np.maximum(gram[..., 0, 0].real, 0.0)[:, None]
-    elif order == 2:
+    if order == 2:
         a = gram[..., 0, 0].real
         b = gram[..., 1, 1].real
         c = gram[..., 0, 1]

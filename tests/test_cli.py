@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from relaylab import cli
 from relaylab.cli import (
     CURVE_HEADER,
     EXIT_OK,
@@ -463,8 +464,11 @@ class TestDesignCheckCommand:
         assert code == EXIT_OK
         assert "scalar oracle" in out
 
-    def test_injected_fault_detected(self, capsys):
-        code = main(["design-check", "--shapes", "2x2x2", "--draws", "10", "--inject-fault"])
+    def test_injected_fault_detected(self, capsys, monkeypatch):
+        # A relay that spends 20% over its budget must fail the battery.
+        spent = cli.relay_power
+        monkeypatch.setattr(cli, "relay_power", lambda h, q, rho: 1.2 * spent(h, q, rho))
+        code = main(["design-check", "--shapes", "2x2x2", "--draws", "10"])
         out = capsys.readouterr().out
         assert code == EXIT_RUNTIME
         assert "FAIL" in out
