@@ -100,6 +100,9 @@ class ChannelRealization:
             raise ContractViolation(
                 f"incompatible hop shapes h{self.h.shape}, g{self.g.shape}"
             )
+        for name in ("h", "g"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ContractViolation(f"hop {name} has NaN or infinite entries")
 
 
 def sample_realization(config: SystemConfig, seed: SeedSpec) -> ChannelRealization:
@@ -120,9 +123,9 @@ def sample_realization_batch(
 
     Returns ``(h, g)`` with shapes (n, n_r, n_s) and (n, n_d, n_r); slice
     ``i`` equals ``sample_realization(config, SeedSpec(master_seed,
-    stream_indices[i]))``.
+    stream_indices[i]))``. Seeds and stream indices are checked as in
+    :func:`~relaylab.numerics.sample_complex_gaussian_batch`.
     """
-    streams = np.asarray(stream_indices, dtype=np.uint64)
-    h = sample_complex_gaussian_batch(config.n_r, config.n_s, master_seed, streams, _LANE_H)
-    g = sample_complex_gaussian_batch(config.n_d, config.n_r, master_seed, streams, _LANE_G)
+    h = sample_complex_gaussian_batch(config.n_r, config.n_s, master_seed, stream_indices, _LANE_H)
+    g = sample_complex_gaussian_batch(config.n_d, config.n_r, master_seed, stream_indices, _LANE_G)
     return h, g

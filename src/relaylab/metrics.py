@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
-from .numerics import ContractViolation, gram_eigvals_desc
+from .numerics import ContractViolation, _check_scalar, gram_eigvals_desc
 from .theory import outage_threshold
 from .transceiver import build_design, error_cov_direct
 
@@ -57,6 +57,13 @@ def _clip_gamma(gamma: np.ndarray) -> np.ndarray:
     return np.maximum(gamma, 0.0)
 
 
+def _eigvals(name: str, values: np.ndarray) -> np.ndarray:
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all((values >= 0.0) & (values < np.inf)):  # NaN fails both; a dead hop gives exact zeros
+        raise ContractViolation(f"{name} must be finite and non-negative: min {np.min(values)}, max {np.max(values)}")
+    return values
+
+
 def mutual_info_joint(gamma: np.ndarray) -> float | np.ndarray:
     """Rate of jointly-encoded streams, ``(1/2) sum_k log2(1 + gamma_k)``
     in bits per channel use.
@@ -80,10 +87,13 @@ def bound_statistic(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float) -> n
     Both inputs hold the top-M Gram eigenvalues of their hop, descending:
     ``sum_k 1/(1 + rho lambda_h_k) + 1/(rho lambda_g_k + rho/lambda_y_k)``
     with the receiver-output eigenvalues entering through the exact
-    identity ``rho / lambda_y_k = 1 + 1/(rho lambda_h_k)``.
+    identity ``rho / lambda_y_k = 1 + 1/(rho lambda_h_k)``. Eigenvalues
+    must be finite and non-negative and ``rho`` finite and positive, or
+    ContractViolation names the argument.
     """
-    lambda_h = np.asarray(lambda_h, dtype=np.float64)
-    lambda_g = np.asarray(lambda_g, dtype=np.float64)
+    lambda_h = _eigvals("lambda_h", lambda_h)
+    lambda_g = _eigvals("lambda_g", lambda_g)
+    _check_scalar("rho", rho, low=0, open_low=True)
     if lambda_h.shape != lambda_g.shape:
         raise ContractViolation("eigenvalue vectors must have equal length M")
     with np.errstate(divide="ignore"):
@@ -103,7 +113,8 @@ def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: 
     slightly negative value as the SNR vanishes; reporting layers clip at
     zero. Vectors give a float; stacks give one bound per row.
     """
-    lambda_h = np.asarray(lambda_h, dtype=np.float64)
+    _check_scalar("n_s", n_s, integer=True, low=1)
+    lambda_h = _eigvals("lambda_h", lambda_h)
     if lambda_h.shape[-1] != n_s:
         raise ContractViolation(f"lambda_h must have n_s={n_s} entries, got {lambda_h.shape[-1]}")
     m = np.shape(lambda_g)[-1]  # more than n_s fails the shape check in bound_statistic
@@ -139,6 +150,8 @@ def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.
     :func:`mutual_info_joint`. A vector gives a bool; a stack (n, M)
     gives one indicator per row.
     """
+    _check_scalar("rate_bpcu", rate_bpcu, low=0)
+    _check_scalar("n_s", n_s, integer=True, low=1)
     gamma = _clip_gamma(gamma)
     per_stream = 0.5 * np.log2(1.0 + gamma)
     outage = np.min(per_stream, axis=-1) < rate_bpcu / n_s

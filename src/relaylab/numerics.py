@@ -6,8 +6,9 @@ and every (stream, lane) pair owns a disjoint slice of the counter space,
 so draws are reproducible for any execution order and any number of
 workers. A vectorised Philox implementation (validated word-for-word
 against ``numpy.random.Philox``) lets millions of independently-keyed
-trials be sampled in single array operations. Gram spectra have one
-route, :func:`gram_eigvals_desc`; a private trace helper screens for it.
+trials be sampled in single array operations. Gram eigenvalues come
+from :func:`gram_eigvals_desc` (closed form for order 2, ``eigvalsh``
+otherwise); a private trace helper screens for it.
 """
 
 from __future__ import annotations
@@ -201,10 +202,20 @@ def sample_complex_gaussian_batch(
 
     Entry (i, :, :) is bitwise identical to
     ``sample_complex_gaussian(rows, cols, SeedSpec(master_seed, stream_indices[i]), lane)``.
+    ``master_seed`` and ``lane`` must lie in [0, 2^64 - 1] and every stream
+    index must be a non-negative integer; anything else raises
+    :class:`ContractViolation` naming the argument.
     """
     if rows < 1 or cols < 1:
         raise ContractViolation(f"matrix shape must be positive, got {rows}x{cols}")
-    streams = np.asarray(stream_indices, dtype=np.uint64)
+    _check_scalar("master_seed", master_seed, integer=True, low=0, high=_MAX_U64)
+    _check_scalar("lane", lane, integer=True, low=0, high=_MAX_U64)
+    streams = np.asarray(stream_indices)
+    if streams.size and streams.dtype.kind not in "iu":
+        raise ContractViolation(f"stream_indices must be integers, got dtype {streams.dtype}")
+    if streams.dtype.kind == "i" and streams.size and streams.min() < 0:  # uint64 streams need no scan
+        raise ContractViolation(f"stream_indices must be non-negative, got {streams.min()}")
+    streams = streams.astype(np.uint64, copy=False)
     u = _uniform_words(master_seed, lane, streams, 2 * rows * cols)
     return _complex_gaussian_from_uniforms(u).reshape(streams.shape[0], rows, cols)
 
@@ -228,17 +239,14 @@ class HermitianEig(NamedTuple):
     vectors: np.ndarray  # unitary, column k pairs with values[k]
 
 
-def hermitian_defect(a: np.ndarray) -> float:
-    """max |A - A^H| entrywise; 0 for exactly Hermitian input."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"{what} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ContractViolation(f"{what} has NaN or infinite entries")
     scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
-    defect = hermitian_defect(a)
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > HERMITIAN_TOL * scale:
         raise ContractViolation(
             f"{what} is not Hermitian: max |A - A^H| = {defect:.3e} exceeds "
@@ -274,7 +282,7 @@ def eig_hermitian_desc(a: np.ndarray) -> HermitianEig:
     Raises
     ------
     ContractViolation
-        If the input is not square or not Hermitian within tolerance.
+        If the input is not square, not finite or not Hermitian within tolerance.
     """
     a = require_hermitian(a, "eig input")
     values, vectors = np.linalg.eigh(a)
@@ -360,6 +368,8 @@ def solve_hermitian_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.complex128)
     if b.shape[0] != a.shape[0]:
         raise ContractViolation(f"rhs rows {b.shape[0]} do not match matrix order {a.shape[0]}")
+    if not np.isfinite(b).all():
+        raise ContractViolation("solve rhs has NaN or infinite entries")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

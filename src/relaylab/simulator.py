@@ -7,7 +7,7 @@ never perturbs existing ones. Every mode is vectorised over a batch of
 trials. The ``bound`` mode needs at most the two hop Gram spectra per
 trial, which makes 1e7-1e8 trials per point tractable: a Cholesky trace
 screen decides most draws exactly, and only the rest reach the spectra
-(closed forms for orders 1 and 2). The ``exact`` and ``separate`` modes
+(closed form for order 2). The ``exact`` and ``separate`` modes
 take the per-stream SINR of the optimal transceiver from one stacked
 eigendecomposition of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``)
 and the closed-form water level (``optimal_gamma_batch``), a few times

@@ -118,3 +118,18 @@ class TestSampling:
 
         with pytest.raises(ContractViolation):
             ChannelRealization(h=np.zeros((2, 2)), g=np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("hop", ["h", "g"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_realization_rejects_non_finite(self, hop, bad):
+        from relaylab.channel import ChannelRealization
+
+        hops = {"h": np.ones((2, 2), dtype=complex), "g": np.ones((2, 2), dtype=complex)}
+        hops[hop][1, 0] = bad
+        with pytest.raises(ContractViolation, match=f"hop {hop} has NaN or infinite"):
+            ChannelRealization(**hops)
+
+    def test_batch_rejects_negative_streams(self):
+        config = SystemConfig(n_s=2, n_r=2, n_d=2)
+        with pytest.raises(ContractViolation, match="stream_indices"):
+            sample_realization_batch(config, 0, np.array([0, -1]))

@@ -112,6 +112,45 @@ class TestOutageBound:
             assert m_bar(n_s, m_dim, rate) == math.ceil(m)
 
 
+class TestBoundInputs:
+    """The bound statistic and its two callers reject input that would
+    otherwise come back as a plausible number (a NaN statistic reads as
+    "not in outage"); zero eigenvalues stay legal, as a dead hop gives them."""
+
+    @pytest.mark.parametrize(
+        "case",  # (the argument the error must name, lambda_h, lambda_g, rho)
+        [
+            ("lambda_h", [np.nan, 1.0], [1.0, 1.0], 10.0),
+            ("lambda_h", [1.0, -1e-3], [1.0, 1.0], 10.0),
+            ("lambda_g", [1.0, 1.0], [np.inf, 1.0], 10.0),
+            ("lambda_g", [1.0, 1.0], [1.0, np.nan], 10.0),
+            ("rho", [1.0, 1.0], [1.0, 1.0], -1.0),
+            ("rho", [1.0, 1.0], [1.0, 1.0], 0.0),
+            ("rho", [1.0, 1.0], [1.0, 1.0], float("nan")),
+            ("rho", [1.0, 1.0], [1.0, 1.0], float("inf")),
+        ],
+    )
+    @pytest.mark.parametrize("route", ["bound_statistic", "outage_bound_statistic", "mi_lower_bound"])
+    def test_rejects(self, case, route):
+        name, lambda_h, lambda_g, rho = case
+        call = {
+            "bound_statistic": lambda: bound_statistic(np.array(lambda_h), np.array(lambda_g), rho),
+            "outage_bound_statistic": lambda: outage_bound_statistic(np.array(lambda_h), np.array(lambda_g), rho, 2, 1.0),
+            "mi_lower_bound": lambda: mi_lower_bound(np.array(lambda_h), np.array(lambda_g), rho, 2),
+        }[route]
+        with pytest.raises(ContractViolation, match=name):
+            call()
+
+    def test_mi_lower_bound_checks_n_s_and_padding(self):
+        with pytest.raises(ContractViolation, match="n_s"):
+            mi_lower_bound(np.zeros(0), np.zeros(0), 10.0, 0)
+        with pytest.raises(ContractViolation, match="lambda_h"):
+            mi_lower_bound(np.array([1.0, np.nan]), np.array([1.0]), 10.0, 2)
+
+    def test_zero_eigenvalues_are_legal(self):
+        assert bound_statistic(np.zeros(2), np.zeros(2), 10.0) == pytest.approx(2.0)
+
+
 class TestOutageSeparate:
     def test_boundary_is_not_outage(self):
         assert not outage_separate(np.array([3.0, 3.0]), rate_bpcu=2.0, n_s=2)
@@ -125,6 +164,20 @@ class TestOutageSeparate:
     def test_rejects_nan(self):
         with pytest.raises(ContractViolation, match="NaN"):
             outage_separate(np.array([np.nan, 1.0]), rate_bpcu=1.0, n_s=2)
+
+    @pytest.mark.parametrize(
+        "case",  # (the argument the error must name, rate_bpcu, n_s)
+        [
+            ("rate_bpcu", float("nan"), 2),  # was "not in outage"
+            ("rate_bpcu", -1.0, 2),
+            ("n_s", 1.0, 0),  # was ZeroDivisionError
+            ("n_s", 1.0, 2.0),
+        ],
+    )
+    def test_rejects_bad_scalars(self, case):
+        name, rate, n_s = case
+        with pytest.raises(ContractViolation, match=name):
+            outage_separate(np.array([3.0, 3.0]), rate_bpcu=rate, n_s=n_s)
 
 
 class TestJensenChainAndInclusion:

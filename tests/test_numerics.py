@@ -112,6 +112,29 @@ class TestPhilox:
         with pytest.raises(ContractViolation):
             sample_complex_gaussian(0, 3, SeedSpec(0))
 
+    @pytest.mark.parametrize(
+        "case",  # (the argument the error must name, master_seed, stream_indices, lane)
+        [
+            ("master_seed", -1, [0], 0),
+            ("master_seed", 1.5, [0], 0),
+            ("master_seed", 2**64, [0], 0),
+            ("lane", 0, [0], -1),
+            ("lane", 0, [0], 2**64),
+            ("stream_indices", 0, np.array([3, -1]), 0),  # would wrap to 2**64 - 1
+            ("stream_indices", 0, [1.5], 0),
+            ("stream_indices", 0, [True], 0),
+        ],
+    )
+    def test_batch_rejects_bad_seeds_and_streams(self, case):
+        name, seed, streams, lane = case
+        with pytest.raises(ContractViolation, match=name):
+            sample_complex_gaussian_batch(2, 2, seed, streams, lane=lane)
+
+    def test_batch_accepts_signed_integer_streams(self):
+        streams = np.array([0, 5, 2**40 + 3])
+        expected = sample_complex_gaussian_batch(2, 3, 99, streams.astype(np.uint64))
+        assert np.array_equal(sample_complex_gaussian_batch(2, 3, 99, streams), expected)
+
 
 class TestEig:
     def test_identity(self):
@@ -159,6 +182,12 @@ class TestEig:
         with pytest.raises(ContractViolation):
             eig_hermitian_desc(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes a "defect > tol" test, so the check must look for it
+        with pytest.raises(ContractViolation, match="eig input has NaN or infinite"):
+            eig_hermitian_desc(np.array([[bad, 0.0], [0.0, 1.0]]))
+
 
 class TestGramEigvals:
     @staticmethod
@@ -195,7 +224,7 @@ class TestGramInvTrace:
     @pytest.mark.parametrize("rho", [1.0, 316.0, 1e8, 1e12])
     def test_matches_spectrum(self, shape, rho):
         # Rank-deficient and zero matrices included. The gap to the
-        # spectrum route (closed forms for orders 1 and 2, eigvalsh above)
+        # spectrum route (closed form for order 2, eigvalsh otherwise)
         # is measured in units of eps k (1 + rho tr A), the unit of the
         # bound screen's margin (1e3 units); at most 1.4 units is seen on
         # these stacks, under 0.5 from order 3.
@@ -244,3 +273,10 @@ class TestSolve:
     def test_indefinite_raises(self):
         with pytest.raises(NumericalRankError):
             solve_hermitian_psd(np.diag([1.0, -2.0]), np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ContractViolation, match="solve input has NaN or infinite"):
+            solve_hermitian_psd(np.array([[2.0, bad], [bad, 2.0]]), np.eye(2))
+        with pytest.raises(ContractViolation, match="solve rhs has NaN or infinite"):
+            solve_hermitian_psd(np.eye(2), np.array([1.0, bad]))

@@ -329,7 +329,7 @@ class TestBoundScreen:
     @pytest.mark.parametrize(
         "shape",
         # n_s > n_r; r_g < M (padded second hop); r_g > M (truncated); order 6;
-        # then orders 1 and 2, whose spectra are closed forms, padded and truncated
+        # then orders 1 (eigvalsh) and 2 (closed form), padded and truncated
         [(3, 3, 3), (4, 4, 4), (5, 3, 3), (4, 4, 2), (3, 4, 5), (6, 6, 6),
          (1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (4, 2, 3), (2, 3, 1)],
     )
@@ -405,8 +405,8 @@ class TestBoundScreen:
         ],
     )
     def test_pinned_counts(self, shape, rate, grid, outages):
-        # Counts of the unscreened route (eigvalsh, or the closed forms
-        # of orders 1 and 2). A change to LAPACK, the spectrum route, the
+        # Counts of the unscreened route (eigvalsh, or the closed form
+        # of order 2). A change to LAPACK, the spectrum route, the
         # statistic or the screen that flips one of them flips published
         # curves: it ships as a versioned results change that lists
         # every flipped count, not as an edit here.
