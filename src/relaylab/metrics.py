@@ -30,7 +30,6 @@ __all__ = [
     "outage_threshold",
     "outage_separate",
     "channel_eigenvalues",
-    "mi_from_mse_trace",
     "evaluate_realization",
 ]
 
@@ -74,11 +73,6 @@ def mutual_info_joint(gamma: np.ndarray) -> float | np.ndarray:
     """
     rate = 0.5 * np.sum(np.log1p(_clip_gamma(gamma)), axis=-1) / math.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
-
-
-def mi_from_mse_trace(trace_re: float, rho: float, n_s: int) -> float:
-    """Jensen bound on the rate from the total MSE, in bpcu."""
-    return -0.5 * n_s * math.log2(trace_re / (rho * n_s))
 
 
 def bound_statistic(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float) -> np.ndarray:

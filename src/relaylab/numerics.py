@@ -7,8 +7,9 @@ so draws are reproducible for any execution order and any number of
 workers. A vectorised Philox implementation (validated word-for-word
 against ``numpy.random.Philox``) lets millions of independently-keyed
 trials be sampled in single array operations. Gram eigenvalues come
-from :func:`gram_eigvals_desc` (closed form for order 2, ``eigvalsh``
-otherwise); a private trace helper screens for it.
+from :func:`gram_eigvals_desc` (``eigvalsh``, or at order 2 the closed
+form that also gives the transceiver its eigenpairs); a private trace
+helper screens for it.
 """
 
 from __future__ import annotations
@@ -202,12 +203,13 @@ def sample_complex_gaussian_batch(
 
     Entry (i, :, :) is bitwise identical to
     ``sample_complex_gaussian(rows, cols, SeedSpec(master_seed, stream_indices[i]), lane)``.
-    ``master_seed`` and ``lane`` must lie in [0, 2^64 - 1] and every stream
-    index must be a non-negative integer; anything else raises
-    :class:`ContractViolation` naming the argument.
+    ``rows`` and ``cols`` must be positive integers, ``master_seed`` and
+    ``lane`` must lie in [0, 2^64 - 1] and every stream index must be a
+    non-negative integer; anything else raises :class:`ContractViolation`
+    naming the argument.
     """
-    if rows < 1 or cols < 1:
-        raise ContractViolation(f"matrix shape must be positive, got {rows}x{cols}")
+    _check_scalar("rows", rows, integer=True, low=1)
+    _check_scalar("cols", cols, integer=True, low=1)
     _check_scalar("master_seed", master_seed, integer=True, low=0, high=_MAX_U64)
     _check_scalar("lane", lane, integer=True, low=0, high=_MAX_U64)
     streams = np.asarray(stream_indices)
@@ -294,25 +296,41 @@ def eig_hermitian_desc(a: np.ndarray) -> HermitianEig:
     return HermitianEig(values=values, vectors=_fix_eigenvector_phases(vectors))
 
 
+def _gram2_eigh(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of each order-2 Gram ``[[a, c], [conj c, b]]``, no LAPACK call.
+
+    Returns the values (n, 2), ``lambda_1 >= lambda_2 >= 0``, and the unit
+    top eigenvector ``u_1`` (n, 2); ``u_2 = (-conj u_1[1], conj u_1[0])``.
+    ``u_1`` comes from the row of ``G - lambda_1 I`` whose entry on the
+    diagonal side, ``|a - b| / 2 + disc``, is a sum of non-negative terms,
+    so nothing cancels; a multiple of I gets ``u_1 = (1, 0)``.
+    """
+    half = 0.5 * (a + b)
+    disc = np.sqrt(0.25 * (a - b) ** 2 + c.real**2 + c.imag**2)
+    values = np.stack([half + disc, np.maximum(half - disc, 0.0)], axis=-1)
+    lead = 0.5 * np.abs(a - b) + disc
+    norm = np.sqrt(lead**2 + c.real**2 + c.imag**2)
+    scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    top = a >= b
+    u1 = np.stack([np.where(top, lead, c) * scale, np.where(top, c.conj(), lead) * scale], axis=-1)
+    u1[norm == 0.0, 0] = 1.0
+    return values, u1
+
+
 def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` eigenvalues of ``A^H A`` for each ``A`` of an (n, r, c) stack.
 
     Returns (n, k), each row descending. The spectrum is taken from the
-    smaller of ``A A^H`` and ``A^H A`` (closed form for order 2, ``eigvalsh``
-    otherwise), clipped at 0, and padded with exact zeros beyond the rank
-    bound min(r, c). Row ``i`` depends on ``mats[i]`` only, so a
-    one-matrix stack gives the same bits as the full batch.
+    smaller of ``A A^H`` and ``A^H A`` (``_gram2_eigh`` at order 2,
+    ``eigvalsh`` otherwise), clipped at 0, and padded with exact zeros
+    beyond the rank bound min(r, c). Row ``i`` depends on ``mats[i]``
+    only, so a one-matrix stack gives the same bits as the full batch.
     """
     order = min(mats.shape[1:])
     herm = mats.conj().swapaxes(-1, -2)
     gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
     if order == 2:
-        a = gram[..., 0, 0].real
-        b = gram[..., 1, 1].real
-        c = gram[..., 0, 1]
-        half = 0.5 * (a + b)
-        disc = np.sqrt(0.25 * (a - b) ** 2 + c.real**2 + c.imag**2)
-        values = np.stack([half + disc, np.maximum(half - disc, 0.0)], axis=-1)
+        values = _gram2_eigh(gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1])[0]
     else:
         values = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
     if k <= order:

@@ -12,10 +12,10 @@ evaluating arbitrary (non-optimal) relay matrices.
 The water level has a closed form on the active set of modes, which
 the per-draw design and the batched one share. For Monte Carlo work,
 ``optimal_gamma_batch`` gives the per-stream SINR of the optimal design
-for a whole stack of draws without forming ``Q`` or ``W``, from one
-eigendecomposition of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``)
-and the spectrum of ``G^H G``: each stream's MSE is ``rho`` plus a sum
-over the M live modes of ``|V_ik|^2 (1 / (phi_k^2 lambda_g_k +
+for a whole stack of draws without forming ``Q`` or ``W``, from the
+eigenpairs of the order-M Gram of ``h`` (closed form at M = 2, ``eigh``
+otherwise) and the spectrum of ``G^H G``: each stream's MSE is ``rho``
+plus a sum over the M live modes of ``|V_ik|^2 (1 / (phi_k^2 lambda_g_k +
 1/lambda_y_k) - lambda_y_k)``. ``build_design`` with ``error_cov_decomposed`` /
 ``error_cov_direct`` stays the per-draw oracle it is checked against.
 
@@ -25,7 +25,6 @@ source antennas than relay or destination antennas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +32,8 @@ import numpy as np
 from .channel import ChannelRealization, SystemConfig
 from .numerics import (
     ContractViolation,
+    _check_scalar,
+    _gram2_eigh,
     eig_hermitian_desc,
     gram_eigvals_desc,
     solve_hermitian_psd,
@@ -153,8 +154,7 @@ def waterfill_phi_batch(
             raise ContractViolation(f"{name} must be finite and nonnegative")
         if np.any(np.diff(vec, axis=1) > 1e-12 * (1.0 + vec[:, :-1])):
             raise ContractViolation(f"{name} must be sorted descending")
-    if not (math.isfinite(p_r) and p_r > 0):
-        raise ContractViolation(f"relay power budget must be positive and finite, got {p_r}")
+    _check_scalar("p_r", p_r, low=0, open_low=True)
 
     products = lambda_y * lambda_g
     active = products > 0
@@ -318,10 +318,11 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     ``h`` is (n, n_r, n_s) and ``g`` is (n, n_d, n_r); returns (n, n_s).
     The M live eigenpairs ``(lambda_k, v_k)`` of ``H^H H`` come from the
     order-M Gram: ``H^H H`` when n_s <= n_r, else ``H H^H`` with
-    eigenvectors ``u_k`` and ``v_k = H^H u_k / sqrt(lambda_k)``. With
-    ``lambda_y = rho^2 lambda / (rho lambda + 1)`` on the same eigenvectors,
-    ``V`` unitary and ``1/(lambda + 1/rho) - rho = -lambda_y``, the diagonal
-    of the two-term error covariance sums over the live modes only:
+    eigenvectors ``u_k`` and ``v_k = H^H u_k / sqrt(lambda_k)``; at M = 2 in
+    closed form from the Gram's entries (``_gram2_eigh``), else by ``eigh``.
+    With ``lambda_y = rho^2 lambda / (rho lambda + 1)`` on the same
+    eigenvectors, ``V`` unitary and ``1/(lambda + 1/rho) - rho = -lambda_y``,
+    the diagonal of the two-term error covariance sums over the live modes:
 
         mse_i = rho + sum_{k<M} |V_ik|^2 (1 / (phi_k^2 lambda_g_k + 1/lambda_y_k) - lambda_y_k).
 
@@ -342,9 +343,19 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     rho = config.rho
     herm = h.conj().swapaxes(-1, -2)
     wide = n_s > n_r
-    lam, u = np.linalg.eigh(h @ herm if wide else herm @ h)
-    lam = np.maximum(lam[:, ::-1], 0.0)
-    v = herm @ u[:, :, ::-1] if wide else u[:, :, ::-1]  # wide: sqrt(lambda_k) v_k
+    if m == 2:  # the Gram x x^H from its entries, eigenpairs in closed form
+        x0, x1 = (h if wide else herm).swapaxes(0, 1)
+        a, b = ((x.real**2 + x.imag**2).sum(axis=-1) for x in (x0, x1))
+        lam, u1 = _gram2_eigh(a, b, (x0 * x1.conj()).sum(axis=-1))
+        p, q = u1[:, :1], u1[:, 1:]  # u_2 = (-conj q, conj p)
+        if wide:  # H^H u_k
+            v = np.stack([x0 * p.conj() + x1 * q.conj(), x1 * p - x0 * q], axis=-1)
+        else:
+            v = np.stack([u1, np.concatenate([-q.conj(), p.conj()], axis=1)], axis=-1)
+    else:
+        lam, u = np.linalg.eigh(h @ herm if wide else herm @ h)
+        lam = np.maximum(lam[:, ::-1], 0.0)
+        v = herm @ u[:, :, ::-1] if wide else u[:, :, ::-1]  # wide: sqrt(lambda_k) v_k
     weights = v.real**2 + v.imag**2
     if wide:
         weights *= np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)[:, None, :]

@@ -17,6 +17,10 @@ which start at the kink a0. Near a0, t(a) ~ 1/(rho^2 m^2 u), so F_g falls
 from 1 on the scale u ~ rho^-2; past a0 it is ~ rho^-k_g. Every term is
 positive and formed without cancellation, so the result keeps its relative
 precision at any SNR, 1e-18 and below included.
+
+Also here: ``mi_from_mse_trace``, the rate's Jensen bound from the total
+MSE, which the rate sandwich tests put between the exact rate and the
+eigenvalue bound.
 """
 
 from __future__ import annotations
@@ -72,3 +76,8 @@ def vector_hop_outage(
     t = (1.0 + rho * a) * (a0 + (1.0 - m) * u) / (m * rho**2 * u * a)
     f_h = a ** (k_h - 1) * np.exp(-a) / math.factorial(k_h - 1)
     return float(gamma_cdf(k_h, a0) + np.sum(weights * f_h * gamma_cdf(k_g, t)))
+
+
+def mi_from_mse_trace(trace_re: float, rho: float, n_s: int) -> float:
+    """Jensen bound on the rate from the total MSE, in bpcu."""
+    return -0.5 * n_s * math.log2(trace_re / (rho * n_s))

@@ -11,13 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from oracle import mi_from_mse_trace
 
 from relaylab.channel import SystemConfig, sample_realization
 from relaylab.cli import main, run_design_check
 from relaylab.metrics import (
     channel_eigenvalues,
     evaluate_realization,
-    mi_from_mse_trace,
     mi_lower_bound,
 )
 from relaylab.numerics import SeedSpec

@@ -9,13 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from oracle import mi_from_mse_trace
 
 from relaylab.channel import ChannelRealization, SystemConfig, sample_realization, sample_realization_batch
 from relaylab.metrics import (
     bound_statistic,
     channel_eigenvalues,
     evaluate_realization,
-    mi_from_mse_trace,
     mi_lower_bound,
     mutual_info_joint,
     outage_bound_statistic,

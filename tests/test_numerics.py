@@ -12,6 +12,7 @@ from relaylab.numerics import (
     ContractViolation,
     NumericalRankError,
     SeedSpec,
+    _gram2_eigh,
     _gram_inv_trace,
     _philox_key,
     _uniform_words,
@@ -135,6 +136,13 @@ class TestPhilox:
         expected = sample_complex_gaussian_batch(2, 3, 99, streams.astype(np.uint64))
         assert np.array_equal(sample_complex_gaussian_batch(2, 3, 99, streams), expected)
 
+    @pytest.mark.parametrize("value", [0, 1.5, True, "2", None, np.float64(2.0)])
+    @pytest.mark.parametrize("name", ["rows", "cols"])
+    def test_batch_rejects_bad_shape(self, name, value):
+        shape = {"rows": 2, "cols": 2, name: value}
+        with pytest.raises(ContractViolation, match=name):
+            sample_complex_gaussian_batch(shape["rows"], shape["cols"], 0, [0])
+
 
 class TestEig:
     def test_identity(self):
@@ -215,6 +223,22 @@ class TestGramEigvals:
         batch = gram_eigvals_desc(mats, 4)
         for i in range(mats.shape[0]):
             assert np.array_equal(gram_eigvals_desc(mats[i][None], 4)[0], batch[i])
+
+
+    def test_order2_eigenpairs(self):
+        # Random Grams on both sides of a >= b, rank one, a = b with c = 0
+        # (a multiple of I, zero included) and a = b with c != 0
+        mats = self._stack(2, 3)
+        gram = mats @ mats.conj().swapaxes(-1, -2)
+        gram = np.concatenate([gram, [2.5 * np.eye(2), [[3.0, 1 - 2j], [1 + 2j, 3.0]]]])
+        values, u1 = _gram2_eigh(gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1])
+        u = np.stack([u1, np.stack([-u1[:, 1].conj(), u1[:, 0].conj()], axis=-1)], axis=-1)
+        assert np.allclose(u.conj().swapaxes(-1, -2) @ u, np.eye(2), rtol=0, atol=1e-14)
+        scale = 1.0 + values[:, :1, None]
+        assert np.all(np.abs(gram @ u - u * values[:, None, :]) <= 1e-13 * scale)
+        expected = np.concatenate([gram_eigvals_desc(mats, 2), [[2.5, 2.5], [3 + 5**0.5, 3 - 5**0.5]]])
+        assert np.array_equal(values, expected)
+        assert np.array_equal(u1[-3:-1], [[1.0, 0.0], [1.0, 0.0]])  # the zero matrix and 2.5 I
 
 
 class TestGramInvTrace:

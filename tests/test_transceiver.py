@@ -160,6 +160,11 @@ class TestWaterfill:
             with pytest.raises(ContractViolation):
                 waterfill_phi(np.array([1.0]), np.array([1.0]), p_r)
 
+    @pytest.mark.parametrize("p_r", [True, float("nan"), float("inf"), 0.0, -1.0, "1"])
+    def test_rejects_bad_budget_by_name(self, p_r):
+        with pytest.raises(ContractViolation, match="p_r"):
+            waterfill_phi(np.array([1.0]), np.array([1.0]), p_r)
+
     def test_batch_rows_equal_single_rows(self):
         rng = np.random.default_rng(20)
         lam_y = np.sort(rng.gamma(2.0, 2.0, size=(200, 3)), axis=1)[:, ::-1]
@@ -210,7 +215,7 @@ class TestOptimalGammaBatch:
             assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
         assert np.max(np.abs(batched[:3])) <= 1e-12
 
-    @pytest.mark.parametrize("shape", [(4, 2, 3), (5, 3, 3)])
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (5, 3, 3), (2, 2, 2), (2, 3, 2)])
     def test_rank_one_first_hop_matches_direct_route(self, shape):
         # h = s1 a1 b1^H + s2 a2 b2^H with s2 / s1 = 0 or 1e-7: the small
         # modes of the order-M Gram must give finite, oracle-equal SINRs
@@ -228,6 +233,44 @@ class TestOptimalGammaBatch:
             chan = ChannelRealization(h=h[i], g=g[i])
             direct = error_cov_direct(config, chan, build_design(config, chan).q).gamma
             assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
+
+    # Per shape: h whose order-2 Gram has a = b, c = 0 (a multiple of I),
+    # h whose Gram has a = b, c != 0, and a g whose top two Gram eigenvalues
+    # are both 2, on which every basis of the degenerate first hop gives
+    # the same SINRs (a random g then sits with the second h)
+    EQUAL_DIAGONAL = {
+        (4, 2, 3): ([[1, 1j, 0, 0], [0, 0, 1, -1]], [[1, 1, 1j, 0], [1, 0, 1, 1]], [[1, 1], [1, -1], [0, 0]]),
+        (2, 2, 2): ([[1, 1], [1, -1]], [[2, 1], [1, 2]], [[1, 1], [1, -1]]),
+        (2, 3, 2): ([[1, 1], [1, -1], [0, 0]], [[1, 0], [1j, 1], [0, -1j]], [[1, 1, 0], [1, -1, 0]]),
+    }
+
+    @pytest.mark.parametrize("shape", list(EQUAL_DIAGONAL))
+    def test_equal_diagonal_grams_match_direct_route(self, shape):
+        scalar_h, coupled_h, isotropic_g = (np.array(x, dtype=complex) for x in self.EQUAL_DIAGONAL[shape])
+        config = SystemConfig(*shape, rho=10.0)
+        _, g = sample_realization_batch(config, 28, np.arange(2, dtype=np.uint64))
+        h = np.stack([scalar_h, coupled_h])
+        g[0] = isotropic_g
+        batched = optimal_gamma_batch(config, h, g)
+        for i in range(2):
+            chan = ChannelRealization(h=h[i], g=g[i])
+            direct = error_cov_direct(config, chan, build_design(config, chan).q).gamma
+            assert np.allclose(batched[i], direct, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 3), (2, 2, 2), (2, 3, 2), (5, 3, 3)])
+    def test_order_two_gram_takes_no_lapack_eigh(self, shape, monkeypatch):
+        config = SystemConfig(*shape, rho=10.0)
+        h, g = sample_realization_batch(config, 29, np.arange(16, dtype=np.uint64))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        if config.m_dim == 2:
+            assert np.all(np.isfinite(optimal_gamma_batch(config, h, g)))
+        else:  # eigh stays for M != 2
+            with pytest.raises(AssertionError, match="eigh called"):
+                optimal_gamma_batch(config, h, g)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     @pytest.mark.parametrize("stack", ["h", "g"])
