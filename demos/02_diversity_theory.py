@@ -26,4 +26,5 @@ low = 0.5 * n_s * math.log2(n_s / (n_s - 1))
 high = 0.5 * n_s * math.log2(n_s)
 print(f"\nfor {n_s} source antennas: full diversity below R = {low:g} bpcu, "
       f"high-rate regime from R = {high:g} bpcu")
-print("(the headline operating points 0.42 and 2 bpcu sit on opposite sides)")
+print(f"(the headline operating points sit on opposite sides: 0.42 bpcu is {classify_regime(n_s, 0.42)}, "
+      f"2 bpcu is {classify_regime(n_s, 2.0)})")

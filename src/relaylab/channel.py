@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import ContractViolation, SeedSpec, _check_scalar, sample_complex_gaussian_batch
+from .numerics import ContractViolation, SeedSpec, _check_array, _check_scalar, sample_complex_gaussian_batch
 
 __all__ = [
     "SystemConfig",
@@ -101,8 +101,7 @@ class ChannelRealization:
                 f"incompatible hop shapes h{self.h.shape}, g{self.g.shape}"
             )
         for name in ("h", "g"):
-            if not np.isfinite(getattr(self, name)).all():
-                raise ContractViolation(f"hop {name} has NaN or infinite entries")
+            _check_array(f"hop {name}", getattr(self, name))
 
 
 def sample_realization(config: SystemConfig, seed: SeedSpec) -> ChannelRealization:

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
-from .numerics import ContractViolation, _check_scalar, gram_eigvals_desc
+from .numerics import ContractViolation, _check_array, _check_scalar, gram_eigvals_desc
 from .theory import outage_threshold
-from .transceiver import build_design, error_cov_direct
+from .transceiver import _check_shapes, build_design, error_cov_direct
 
 __all__ = [
     "MiReport",
@@ -50,26 +50,17 @@ class MiReport:
 
 
 def _clip_gamma(gamma: np.ndarray) -> np.ndarray:
-    gamma = np.asarray(gamma, dtype=np.float64)
-    if not np.all(gamma >= -GAMMA_CLIP):  # NaN fails the comparison too
-        raise ContractViolation(f"SINR must not be NaN or negative beyond round-off: min {gamma.min():.3e}")
-    return np.maximum(gamma, 0.0)
-
-
-def _eigvals(name: str, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all((values >= 0.0) & (values < np.inf)):  # NaN fails both; a dead hop gives exact zeros
-        raise ContractViolation(f"{name} must be finite and non-negative: min {np.min(values)}, max {np.max(values)}")
-    return values
+    return np.maximum(_check_array("gamma", np.asarray(gamma, dtype=np.float64), low=-GAMMA_CLIP), 0.0)
 
 
 def mutual_info_joint(gamma: np.ndarray) -> float | np.ndarray:
     """Rate of jointly-encoded streams, ``(1/2) sum_k log2(1 + gamma_k)``
     in bits per channel use.
 
-    Tiny negative SINRs from round-off are clipped to zero; a NaN or a
-    more negative SINR raises ContractViolation. A vector gives a float;
-    a stack (n, M) gives one rate per row.
+    Tiny negative SINRs from round-off are clipped to zero; a NaN, an
+    infinite or a more negative SINR raises ContractViolation naming
+    ``gamma`` (a finite draw always gives a finite SINR). A vector gives a
+    float; a stack (n, M) gives one rate per row.
     """
     rate = 0.5 * np.sum(np.log1p(_clip_gamma(gamma)), axis=-1) / math.log(2.0)
     return float(rate) if np.ndim(rate) == 0 else rate
@@ -85,8 +76,8 @@ def bound_statistic(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float) -> n
     must be finite and non-negative and ``rho`` finite and positive, or
     ContractViolation names the argument.
     """
-    lambda_h = _eigvals("lambda_h", lambda_h)
-    lambda_g = _eigvals("lambda_g", lambda_g)
+    lambda_h = _check_array("lambda_h", np.asarray(lambda_h, dtype=np.float64), low=0)  # a dead hop gives zeros
+    lambda_g = _check_array("lambda_g", np.asarray(lambda_g, dtype=np.float64), low=0)
     _check_scalar("rho", rho, low=0, open_low=True)
     if lambda_h.shape != lambda_g.shape:
         raise ContractViolation("eigenvalue vectors must have equal length M")
@@ -108,7 +99,7 @@ def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: 
     zero. Vectors give a float; stacks give one bound per row.
     """
     _check_scalar("n_s", n_s, integer=True, low=1)
-    lambda_h = _eigvals("lambda_h", lambda_h)
+    lambda_h = _check_array("lambda_h", np.asarray(lambda_h, dtype=np.float64), low=0)
     if lambda_h.shape[-1] != n_s:
         raise ContractViolation(f"lambda_h must have n_s={n_s} entries, got {lambda_h.shape[-1]}")
     m = np.shape(lambda_g)[-1]  # more than n_s fails the shape check in bound_statistic
@@ -141,8 +132,8 @@ def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.
     A stream rate exactly equal to its share counts as delivered. This
     baseline models separately-encoded antennas; its diversity does not
     improve as the rate drops. SINRs are checked as in
-    :func:`mutual_info_joint`. A vector gives a bool; a stack (n, M)
-    gives one indicator per row.
+    :func:`mutual_info_joint`: NaN and infinite ones raise. A vector gives
+    a bool; a stack (n, M) gives one indicator per row.
     """
     _check_scalar("rate_bpcu", rate_bpcu, low=0)
     _check_scalar("n_s", n_s, integer=True, low=1)
@@ -160,6 +151,7 @@ def channel_eigenvalues(config: SystemConfig, chan: ChannelRealization) -> tuple
     G^H G (exact zeros beyond rank min(n_r, n_d)). The one-draw view of
     :func:`~relaylab.numerics.gram_eigvals_desc`.
     """
+    _check_shapes(config, chan)
     lambda_h = gram_eigvals_desc(chan.h[None], config.n_s)[0]
     lambda_g = gram_eigvals_desc(chan.g[None], config.m_dim)[0]
     return lambda_h, lambda_g

@@ -9,7 +9,8 @@ against ``numpy.random.Philox``) lets millions of independently-keyed
 trials be sampled in single array operations. Gram eigenvalues come
 from :func:`gram_eigvals_desc` (``eigvalsh``, or at order 2 the closed
 form that also gives the transceiver its eigenpairs); a private trace
-helper screens for it.
+helper screens for it. Two private checks stand behind every public
+boundary: ``_check_scalar`` for one number, ``_check_array`` for arrays.
 """
 
 from __future__ import annotations
@@ -60,6 +61,24 @@ def _check_scalar(name: str, value, integer: bool = False, low=None, high=None, 
         hi = "" if high is None else f"at most {high}"
         raise ContractViolation(f"{name} must be {' and '.join(filter(None, (lo, hi)))}, got {value}")
     return value
+
+
+def _check_array(name: str, values, low=None, integer: bool = False) -> np.ndarray:
+    """The one array input check, beside :func:`_check_scalar`; returns ``values`` as an array.
+
+    Every entry must be an integer (``integer``) or a finite number, and real
+    entries at least ``low`` (None: no bound; unsigned integers are not scanned
+    against a bound <= 0). A failure raises :class:`ContractViolation` naming ``name``.
+    """
+    values = np.asarray(values)
+    kind = values.dtype.kind
+    if integer and values.size and kind not in "iu":
+        raise ContractViolation(f"{name} must be integers, got dtype {values.dtype}")
+    if kind not in "iu" and not np.isfinite(values).all():
+        raise ContractViolation(f"{name} has NaN or infinite entries")
+    if low is not None and values.size and not (kind == "u" and low <= 0) and values.min() < low:
+        raise ContractViolation(f"{name} must be at least {low}, got {values.min()}")
+    return values
 
 
 class NumericalRankError(RuntimeError):
@@ -212,12 +231,7 @@ def sample_complex_gaussian_batch(
     _check_scalar("cols", cols, integer=True, low=1)
     _check_scalar("master_seed", master_seed, integer=True, low=0, high=_MAX_U64)
     _check_scalar("lane", lane, integer=True, low=0, high=_MAX_U64)
-    streams = np.asarray(stream_indices)
-    if streams.size and streams.dtype.kind not in "iu":
-        raise ContractViolation(f"stream_indices must be integers, got dtype {streams.dtype}")
-    if streams.dtype.kind == "i" and streams.size and streams.min() < 0:  # uint64 streams need no scan
-        raise ContractViolation(f"stream_indices must be non-negative, got {streams.min()}")
-    streams = streams.astype(np.uint64, copy=False)
+    streams = _check_array("stream_indices", stream_indices, low=0, integer=True).astype(np.uint64, copy=False)
     u = _uniform_words(master_seed, lane, streams, 2 * rows * cols)
     return _complex_gaussian_from_uniforms(u).reshape(streams.shape[0], rows, cols)
 
@@ -242,11 +256,9 @@ class HermitianEig(NamedTuple):
 
 
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
+    a = _check_array(what, np.asarray(a, dtype=np.complex128))
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractViolation(f"{what} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ContractViolation(f"{what} has NaN or infinite entries")
     scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > HERMITIAN_TOL * scale:
@@ -325,7 +337,10 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     ``eigvalsh`` otherwise), clipped at 0, and padded with exact zeros
     beyond the rank bound min(r, c). Row ``i`` depends on ``mats[i]``
     only, so a one-matrix stack gives the same bits as the full batch.
+    ``mats`` must be finite and ``k`` a positive integer.
     """
+    mats = _check_array("mats", mats)
+    _check_scalar("k", k, integer=True, low=1)
     order = min(mats.shape[1:])
     herm = mats.conj().swapaxes(-1, -2)
     gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
@@ -383,11 +398,9 @@ def solve_hermitian_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     below ``1e-9 * ||b||_F``.
     """
     a = require_hermitian(a, "solve input")
-    b = np.asarray(b, dtype=np.complex128)
+    b = _check_array("solve rhs", np.asarray(b, dtype=np.complex128))
     if b.shape[0] != a.shape[0]:
         raise ContractViolation(f"rhs rows {b.shape[0]} do not match matrix order {a.shape[0]}")
-    if not np.isfinite(b).all():
-        raise ContractViolation("solve rhs has NaN or infinite entries")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

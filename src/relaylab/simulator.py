@@ -353,6 +353,8 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
             f"need 3 contiguous points with at least {min_count} outages, "
             f"got {len(window)} usable (counts {counts})"
         )
+    for p in window:  # a NaN or out-of-range p_out would fit to a NaN or infinite slope
+        _check_scalar(f"p_out at {p.snr_db} dB", p.p_out, low=0, high=1, open_low=True)
     x = np.array([p.snr_db / 10.0 for p in window])  # log10(rho)
     y = np.log10([p.p_out for p in window])
     slope, intercept = np.polyfit(x, y, 1)

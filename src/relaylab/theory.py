@@ -96,7 +96,7 @@ def dmt(n_s: int, n_r: int, n_d: int, r_mult: float) -> float:
     return (n_r - n_s + 1) * max(1.0 - 2.0 * r_mult / n_s, 0.0)
 
 
-def classify_regime(n_s: int, m_dim: int, rate_bpcu: float) -> str:
+def classify_regime(n_s: int, rate_bpcu: float) -> str:
     """Rate regime: full-diversity, intermediate, or high-rate.
 
     Full diversity below (n_s/2) log2(n_s/(n_s-1)), high rate from
@@ -104,7 +104,6 @@ def classify_regime(n_s: int, m_dim: int, rate_bpcu: float) -> str:
     full-diversity regime.
     """
     _check_scalar("n_s", n_s, integer=True, low=1)
-    _check_scalar("m_dim", m_dim, integer=True, low=1, high=n_s)
     _check_scalar("rate_bpcu", rate_bpcu, low=0)
     if n_s == 1:
         return REGIME_FULL_DIVERSITY
@@ -125,5 +124,5 @@ def predict(n_s: int, n_r: int, n_d: int, rate_bpcu: float) -> DiversityPredicti
         d_drt=d,
         d_dmt=dmt(n_s, n_r, n_d, 0.0),
         full_diversity=d == n_r * min(n_s, n_d),
-        regime_note=classify_regime(n_s, m, rate_bpcu),
+        regime_note=classify_regime(n_s, rate_bpcu),
     )

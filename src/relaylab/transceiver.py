@@ -32,6 +32,7 @@ import numpy as np
 from .channel import ChannelRealization, SystemConfig
 from .numerics import (
     ContractViolation,
+    _check_array,
     _check_scalar,
     _gram2_eigh,
     eig_hermitian_desc,
@@ -55,7 +56,6 @@ __all__ = [
     "error_cov_direct",
     "optimal_gamma_batch",
     "relay_power",
-    "second_hop_mse_trace",
 ]
 
 # Tolerances fixed by the module contracts.
@@ -94,6 +94,7 @@ class ErrorCovariance:
 
 def _relay_output(h: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     # The receiver L and its output covariance R_y from one solve.
+    _check_scalar("rho", rho, low=0, open_low=True)
     h = np.asarray(h, dtype=np.complex128)
     a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
     l = rho * solve_hermitian_psd(a, h).conj().T
@@ -150,8 +151,7 @@ def waterfill_phi_batch(
             f"eigenvalue stacks must share one (n, M) shape, got {lambda_y.shape} and {lambda_g.shape}"
         )
     for name, vec in (("lambda_y", lambda_y), ("lambda_g", lambda_g)):
-        if not np.all((vec >= 0.0) & (vec < np.inf)):  # NaN fails both comparisons
-            raise ContractViolation(f"{name} must be finite and nonnegative")
+        _check_array(name, vec, low=0)
         if np.any(np.diff(vec, axis=1) > 1e-12 * (1.0 + vec[:, :-1])):
             raise ContractViolation(f"{name} must be sorted descending")
     _check_scalar("p_r", p_r, low=0, open_low=True)
@@ -203,7 +203,8 @@ def destination_receiver(h: np.ndarray, g: np.ndarray, q: np.ndarray, rho: float
     ``rho (GQH)^H (rho GQH (GQH)^H + GQ (GQ)^H + I)^-1``; valid for any
     ``q``, not only the optimal one.
     """
-    f = g @ q
+    _check_scalar("rho", rho, low=0, open_low=True)
+    f = g @ _check_array("q", q)
     t = f @ h
     n_d = g.shape[0]
     s = rho * (t @ t.conj().T) + f @ f.conj().T + np.eye(n_d)
@@ -213,11 +214,17 @@ def destination_receiver(h: np.ndarray, g: np.ndarray, q: np.ndarray, rho: float
 
 def destination_receiver_second_hop(r_y: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Equivalent receiver form ``R_y B^H G^H (G B R_y B^H G^H + I)^-1``."""
+    r_y = _check_array("r_y", r_y)
     gb = g @ b
     n_d = g.shape[0]
     s = gb @ r_y @ gb.conj().T + np.eye(n_d)
     s = 0.5 * (s + s.conj().T)
     return solve_hermitian_psd(s, gb @ r_y).conj().T
+
+
+def _check_shapes(config: SystemConfig, chan: ChannelRealization) -> None:
+    if chan.h.shape != (config.n_r, config.n_s) or chan.g.shape != (config.n_d, config.n_r):
+        raise ContractViolation(f"channel shapes {chan.h.shape}/{chan.g.shape} do not match config {config.shape_label}")
 
 
 def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverDesign:
@@ -229,14 +236,11 @@ def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverD
     configuration; a dead hop (``h = 0`` or ``g = 0``) degrades gracefully
     to ``q = 0``, ``w = 0``.
     """
+    _check_shapes(config, chan)
     h, g = chan.h, chan.g
     rho, p_r = config.rho, config.p_r
-    n_s, n_r, n_d = config.n_s, config.n_r, config.n_d
+    n_r, n_d = config.n_r, config.n_d
     m = config.m_dim
-    if h.shape != (n_r, n_s) or g.shape != (n_d, n_r):
-        raise ContractViolation(
-            f"channel shapes {h.shape}/{g.shape} do not match config {config.shape_label}"
-        )
 
     l, r_y = _relay_output(h, rho)  # the relay_receiver and signal_covariance pair
 
@@ -282,7 +286,7 @@ def error_cov_decomposed(
     h = chan.h
     rho = config.rho
     n_s = config.n_s
-    b = design.b if relay_precoder is None else relay_precoder
+    b = design.b if relay_precoder is None else _check_array("relay_precoder", relay_precoder)
     u = design.u_y_tilde
     lambda_y = design.lambda_y
     if lambda_y[-1] <= RANK_DEFICIENCY_RTOL * max(lambda_y[0], 0.0) or lambda_y[0] <= 0.0:
@@ -331,15 +335,12 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     a mode with ``lambda_k = 0`` weighs zero and a dead hop gives ``gamma = 0``.
     """
     n_s, n_r, n_d, m = config.n_s, config.n_r, config.n_d, config.m_dim
-    h = np.asarray(h, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
+    h = _check_array("channel stack h", np.asarray(h, dtype=np.complex128))
+    g = _check_array("channel stack g", np.asarray(g, dtype=np.complex128))
     if h.ndim != 3 or h.shape[1:] != (n_r, n_s) or g.shape != (h.shape[0], n_d, n_r):
         raise ContractViolation(
             f"channel stacks {h.shape}/{g.shape} do not match config {config.shape_label}"
         )
-    for name, stack in (("h", h), ("g", g)):
-        if not np.isfinite(stack).all():
-            raise ContractViolation(f"channel stack {name} has NaN or infinite entries")
     rho = config.rho
     herm = h.conj().swapaxes(-1, -2)
     wide = n_s > n_r
@@ -370,10 +371,6 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
 
 def relay_power(h: np.ndarray, q: np.ndarray, rho: float) -> float:
     """Transmit power spent by the relay, ``Tr(Q (rho H H^H + I) Q^H)``."""
-    a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
+    h, q = _check_array("h", h), _check_array("q", q)
+    a = _check_scalar("rho", rho, low=0, open_low=True) * (h @ h.conj().T) + np.eye(h.shape[0])
     return float(np.real(np.trace(q @ a @ q.conj().T)))
-
-
-def second_hop_mse_trace(lambda_y: np.ndarray, lambda_g: np.ndarray, phi: np.ndarray) -> float:
-    """Second-hop MSE contribution for a diagonal precoder magnitude vector."""
-    return float(np.sum(1.0 / (phi**2 * lambda_g + 1.0 / lambda_y)))

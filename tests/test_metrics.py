@@ -56,6 +56,20 @@ class TestMutualInfo:
             mutual_info_joint(np.array([[1.0, 1.0], [1.0, np.nan]]))
 
 
+class TestSinrInput:
+    # A finite draw always gives a finite SINR, so an infinite one is refused like NaN
+    @pytest.mark.parametrize(
+        "gamma",
+        [[np.inf, 1.0], [np.nan, 1.0], [[1.0, 1.0], [np.inf, 1.0]], [[1.0, 1.0], [1.0, np.nan]]],
+        ids=["vector-inf", "vector-nan", "stack-inf", "stack-nan"],
+    )
+    @pytest.mark.parametrize("route", ["mutual_info_joint", "outage_separate"])
+    def test_rejects_non_finite(self, route, gamma):
+        call = {"mutual_info_joint": mutual_info_joint, "outage_separate": lambda g: outage_separate(g, 1.0, 2)}[route]
+        with pytest.raises(ContractViolation, match="^gamma has NaN or infinite entries"):
+            call(np.array(gamma))
+
+
 class TestLowerBound:
     def test_scalar_hand_value(self):
         # 1x1x1, lam_h = lam_g = rho = 1: -(1/2) log2(1/2 + 1/3)

@@ -5,6 +5,8 @@ independent reference implementation) and by moment checks; eig and
 solve are validated against reconstruction and residual identities.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from relaylab.numerics import (
     ContractViolation,
     NumericalRankError,
     SeedSpec,
+    _check_array,
     _gram2_eigh,
     _gram_inv_trace,
     _philox_key,
@@ -197,6 +200,36 @@ class TestEig:
             eig_hermitian_desc(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
+class TestCheckArray:
+    @pytest.mark.parametrize(
+        "values,kwargs,message",
+        [
+            ([1.0, np.nan], {}, "x has NaN or infinite entries"),
+            ([1j, complex(np.inf, 0.0)], {}, "x has NaN or infinite entries"),
+            ([-np.inf, 1.0], {"low": 0}, "x has NaN or infinite entries"),
+            ([1.0, -0.5], {"low": 0}, "x must be at least 0, got -0.5"),
+            (np.array([3, -1]), {"low": 0, "integer": True}, "x must be at least 0, got -1"),
+            ([1.5], {"integer": True}, "x must be integers, got dtype float64"),
+            ([True], {"integer": True}, "x must be integers, got dtype bool"),
+        ],
+    )
+    def test_one_wording_per_rule(self, values, kwargs, message):
+        with pytest.raises(ContractViolation, match=f"^{re.escape(message)}$"):
+            _check_array("x", values, **kwargs)
+
+    @pytest.mark.parametrize(
+        "values,kwargs",
+        [
+            ([0.0, 2.0], {"low": 0}),  # the bound is inclusive
+            ([[1 + 1j, 0.0]], {}),
+            (np.zeros(0), {"low": 1, "integer": True}),
+            (np.array([0, 2**64 - 1], dtype=np.uint64), {"low": 0, "integer": True}),
+        ],
+    )
+    def test_accepts(self, values, kwargs):
+        assert np.array_equal(_check_array("x", values, **kwargs), values)
+
+
 class TestGramEigvals:
     @staticmethod
     def _stack(r, c):
@@ -239,6 +272,21 @@ class TestGramEigvals:
         expected = np.concatenate([gram_eigvals_desc(mats, 2), [[2.5, 2.5], [3 + 5**0.5, 3 - 5**0.5]]])
         assert np.array_equal(values, expected)
         assert np.array_equal(u1[-3:-1], [[1.0, 0.0], [1.0, 0.0]])  # the zero matrix and 2.5 I
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 4)])  # the order-2 closed form and eigvalsh
+    def test_rejects_non_finite(self, shape, bad):
+        # order 2 returned NaN eigenvalues, order 4 raised LinAlgError
+        mats = self._stack(*shape)
+        mats[5, 1, 0] = bad
+        with pytest.raises(ContractViolation, match="^mats has NaN or infinite entries"):
+            gram_eigvals_desc(mats, 2)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True])
+    def test_rejects_bad_k(self, k):
+        # 0 and -1 sliced the spectrum silently, 1.5 raised TypeError
+        with pytest.raises(ContractViolation, match="^k must be"):
+            gram_eigvals_desc(self._stack(2, 2), k)
 
 
 class TestGramInvTrace:

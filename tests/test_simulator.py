@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -609,6 +610,15 @@ class TestFitSlope:
         curve = _synthetic_curve([10.0, 15.0, 20.0], [1e-2, 1e-3, 1e-4])
         with pytest.raises(ContractViolation):
             fit_slope(curve, min_count=min_count)
+
+    @pytest.mark.parametrize("p_out", [float("nan"), 0.0, 1.5])
+    def test_rejects_fitted_p_out_outside_unit_interval(self, p_out):
+        # NaN used to fit to d_hat = nan; the error names the point's SNR
+        curve = _synthetic_curve([10.0, 15.0, 20.0], [1e-2, 1e-3, 1e-4])
+        points = list(curve.points)
+        points[1] = replace(points[1], p_out=p_out)
+        with pytest.raises(ContractViolation, match="^p_out at 15.0 dB "):
+            fit_slope(replace(curve, points=tuple(points)))
 
     def test_window_drops_starved_and_low_snr_points(self):
         snr = [5.0, 10.0, 15.0, 20.0, 25.0]

@@ -80,7 +80,7 @@ class TestRegimes:
         ],
     )
     def test_examples(self, n_s, rate, expected):
-        assert classify_regime(n_s, min(n_s, 2), rate) == expected
+        assert classify_regime(n_s, rate) == expected
 
     def test_regime_matches_m_bar_grid(self):
         # The high-rate threshold coincides with m_bar == 1 exactly when
@@ -93,7 +93,7 @@ class TestRegimes:
             rate = float(rng.uniform(0.0, 8.0))
             m_dim = min(n_s, n_r)
             mb = m_bar(n_s, m_dim, rate)
-            regime = classify_regime(n_s, m_dim, rate)
+            regime = classify_regime(n_s, rate)
             if m_dim == n_s:
                 assert (regime == REGIME_HIGH_RATE) == (mb == 1) or m_dim == 1
             assert (regime == REGIME_FULL_DIVERSITY) == (mb == m_dim)
@@ -152,8 +152,8 @@ class TestRejectsBadInput:
             (predict, (2, 2, 0, 1.0)),
             (predict, (-1, 2, 2, 1.0)),
             (predict, (2, 2, 2, float("inf"))),
-            (classify_regime, (2, 2, float("nan"))),
-            (classify_regime, (2, 2, -1.0)),
+            (classify_regime, (2, float("nan"))),
+            (classify_regime, (2, -1.0)),
             (outage_threshold, (0, 1, 1.0)),
             (outage_threshold, (2, 2, float("nan"))),
             # 2.5 and True as antenna counts, True as a rate: each used to return a diversity order
@@ -167,10 +167,8 @@ class TestRejectsBadInput:
             (m_bar, (2.5, 2, 1.0)),
             (m_bar, (2, True, 1.0)),
             (m_bar, (2, 2, True)),
-            (classify_regime, (2.5, 2, 1.0)),
-            (classify_regime, (2, True, 1.0)),
-            (classify_regime, (2, 2, True)),
-            (classify_regime, (2, 3, 1.0)),
+            (classify_regime, (2.5, 1.0)),
+            (classify_regime, (2, True)),
             (predict, (2.5, 2, 2, 1.0)),
             (predict, (2, True, 2, 1.0)),
             (predict, (2, 2, 2, True)),

@@ -13,10 +13,12 @@ import numpy as np
 import pytest
 
 from relaylab.channel import ChannelRealization, SystemConfig, sample_realization, sample_realization_batch
+from relaylab.cli import _second_hop_mse_trace
 from relaylab.numerics import ContractViolation, SeedSpec, sample_complex_gaussian
 from relaylab.transceiver import (
     RankDeficiencyError,
     build_design,
+    destination_receiver,
     destination_receiver_second_hop,
     error_cov_decomposed,
     error_cov_direct,
@@ -24,7 +26,6 @@ from relaylab.transceiver import (
     relay_power,
     relay_receiver,
     ry_identity_gap,
-    second_hop_mse_trace,
     signal_covariance,
     waterfill_phi,
     waterfill_phi_batch,
@@ -38,6 +39,27 @@ def _draw(shape, rho, seed, stream):
     n_s, n_r, n_d = shape
     config = SystemConfig(n_s=n_s, n_r=n_r, n_d=n_d, rho=rho)
     return config, sample_realization(config, SeedSpec(seed, stream))
+
+
+class TestPerDrawInputs:
+    # Beyond the rows of test_boundaries.py (rho = -1, 0, -5 and nan there)
+    @pytest.mark.parametrize(
+        "name,call",
+        [
+            ("rho", lambda h, g, q: relay_receiver(h, True)),
+            ("rho", lambda h, g, q: relay_power(h, q, float("inf"))),
+            ("h", lambda h, g, q: relay_power(h * np.nan, q, 1.0)),  # was nan
+            ("q", lambda h, g, q: relay_power(h, q * np.inf, 1.0)),
+            ("q", lambda h, g, q: destination_receiver(h, g, q * np.nan, 1.0)),
+        ],
+        ids=["relay_receiver-rho-bool", "relay_power-rho-inf", "relay_power-h-nan", "relay_power-q-inf",
+             "destination_receiver-q-nan"],
+    )
+    def test_rejects_by_name(self, name, call):
+        config, chan = _draw((2, 2, 2), rho=10.0, seed=40, stream=0)
+        q = build_design(config, chan).q
+        with pytest.raises(ContractViolation, match=f"^{name} "):
+            call(chan.h, chan.g, q)
 
 
 class TestRelayReceiver:
@@ -434,7 +456,7 @@ class TestErrorCovariance:
             design = build_design(config, chan)
             if not np.any(design.phi > 0):
                 continue
-            base = second_hop_mse_trace(design.lambda_y, design.lambda_g, design.phi)
+            base = _second_hop_mse_trace(design.lambda_y, design.lambda_g, design.phi)
             for _ in range(10):
                 phi = np.abs(design.phi + 0.2 * rng.standard_normal(2))
                 phi[design.lambda_g == 0.0] = 0.0
@@ -442,7 +464,7 @@ class TestErrorCovariance:
                 if spent == 0.0:
                     continue
                 phi *= math.sqrt(config.p_r / spent)
-                trial = second_hop_mse_trace(design.lambda_y, design.lambda_g, phi)
+                trial = _second_hop_mse_trace(design.lambda_y, design.lambda_g, phi)
                 assert trial >= base * (1 - 1e-7)
 
     def test_rank_deficiency_error(self):
