@@ -331,7 +331,8 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
     Uses the largest suffix of grid points whose outage count is at least
     ``min_count`` (starved points are noise, low-SNR points bias the
     slope); requires three such points. ``d_hat`` is minus the slope of
-    log10 p_out against log10 rho.
+    log10 p_out against log10 rho. In the window, SNRs must be finite and
+    strictly ascending and each p_out in (0, 1], or ContractViolation names it.
     """
     _check_scalar("min_count", min_count, integer=True, low=1)
     points = list(curve.points)
@@ -353,7 +354,8 @@ def fit_slope(curve: OutageCurve, min_count: int = 20) -> SlopeFit:
             f"need 3 contiguous points with at least {min_count} outages, "
             f"got {len(window)} usable (counts {counts})"
         )
-    for p in window:  # a NaN or out-of-range p_out would fit to a NaN or infinite slope
+    for prev, p in zip((None, *window), window):  # as read_curve_csv: else a NaN slope or a foreign error
+        _check_scalar("snr_db", p.snr_db, low=None if prev is None else prev.snr_db, open_low=True)
         _check_scalar(f"p_out at {p.snr_db} dB", p.p_out, low=0, high=1, open_low=True)
     x = np.array([p.snr_db / 10.0 for p in window])  # log10(rho)
     y = np.log10([p.p_out for p in window])

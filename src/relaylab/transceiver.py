@@ -224,7 +224,9 @@ def destination_receiver_second_hop(r_y: np.ndarray, b: np.ndarray, g: np.ndarra
 
 def _check_shapes(config: SystemConfig, chan: ChannelRealization) -> None:
     if chan.h.shape != (config.n_r, config.n_s) or chan.g.shape != (config.n_d, config.n_r):
-        raise ContractViolation(f"channel shapes {chan.h.shape}/{chan.g.shape} do not match config {config.shape_label}")
+        raise ContractViolation(
+            f"channel shapes {chan.h.shape}/{chan.g.shape} do not match config {config.shape_label}"
+        )
 
 
 def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverDesign:
@@ -372,5 +374,6 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
 def relay_power(h: np.ndarray, q: np.ndarray, rho: float) -> float:
     """Transmit power spent by the relay, ``Tr(Q (rho H H^H + I) Q^H)``."""
     h, q = _check_array("h", h), _check_array("q", q)
-    a = _check_scalar("rho", rho, low=0, open_low=True) * (h @ h.conj().T) + np.eye(h.shape[0])
+    _check_scalar("rho", rho, low=0, open_low=True)
+    a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
     return float(np.real(np.trace(q @ a @ q.conj().T)))

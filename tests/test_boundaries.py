@@ -51,8 +51,7 @@ ROWS = [
      lambda v: transceiver.waterfill_phi(np.array([v, 1.0]), np.ones(2), 1.0), "lambda_y"),
     (transceiver, "waterfill_phi_batch", "lambda_g", -1.0,
      lambda v: transceiver.waterfill_phi_batch(np.ones((1, 2)), np.array([[1.0, v]]), 1.0), "lambda_g"),
-    (transceiver, "build_design", "chan", "3x2x4", lambda v: transceiver.build_design(CONFIG, OTHER),
-     "channel shapes"),
+    (transceiver, "build_design", "chan", OTHER, lambda v: transceiver.build_design(CONFIG, v), "channel shapes"),
     (transceiver, "destination_receiver", "rho", -5.0,
      lambda v: transceiver.destination_receiver(CHAN.h, CHAN.g, DESIGN.q, v), "rho"),
     (transceiver, "destination_receiver_second_hop", "r_y", math.nan,
@@ -74,9 +73,8 @@ ROWS = [
     (metrics, "outage_threshold", "rate_bpcu", math.nan, lambda v: metrics.outage_threshold(2, 2, v), "rate_bpcu"),
     (metrics, "outage_separate", "gamma", math.inf,
      lambda v: metrics.outage_separate(np.array([1.0, v]), 1.0, 2), "gamma"),
-    (metrics, "channel_eigenvalues", "chan", "3x2x4", lambda v: metrics.channel_eigenvalues(CONFIG, OTHER),
-     "channel shapes"),
-    (metrics, "evaluate_realization", "chan", "3x2x4", lambda v: metrics.evaluate_realization(CONFIG, OTHER),
+    (metrics, "channel_eigenvalues", "chan", OTHER, lambda v: metrics.channel_eigenvalues(CONFIG, v), "channel shapes"),
+    (metrics, "evaluate_realization", "chan", OTHER, lambda v: metrics.evaluate_realization(CONFIG, v),
      "channel shapes"),
 ]
 
@@ -88,7 +86,8 @@ def _qualified(module, name):
 @pytest.mark.parametrize(
     "bad,call,named",
     [row[3:] for row in ROWS],
-    ids=[f"{_qualified(module, name)}-{param}-{bad}" for module, name, param, bad, *_ in ROWS],
+    ids=[f"{_qualified(module, name)}-{param}-{bad if np.isscalar(bad) else 'other-shape'}"
+         for module, name, param, bad, *_ in ROWS],
 )
 def test_rejects_by_name(bad, call, named):
     with pytest.raises(ContractViolation, match=f"^{named} "):

@@ -620,6 +620,15 @@ class TestFitSlope:
         with pytest.raises(ContractViolation, match="^p_out at 15.0 dB "):
             fit_slope(replace(curve, points=tuple(points)))
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), 10.0, 5.0])
+    def test_rejects_fitted_snr_not_ascending(self, snr_db):
+        # NaN raised LinAlgError from the fit; a repeated or falling SNR was fitted as given
+        curve = _synthetic_curve([10.0, 15.0, 20.0], [1e-2, 1e-3, 1e-4])
+        points = list(curve.points)
+        points[1] = replace(points[1], snr_db=snr_db)
+        with pytest.raises(ContractViolation, match="^snr_db "):
+            fit_slope(replace(curve, points=tuple(points)))
+
     def test_window_drops_starved_and_low_snr_points(self):
         snr = [5.0, 10.0, 15.0, 20.0, 25.0]
         rho = [10 ** (s / 10) for s in snr]
