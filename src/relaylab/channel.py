@@ -35,7 +35,9 @@ def default_power_coupling(n_s: int, rho: float) -> float:
     Per-antenna SNR ``rho`` times ``n_s`` source antennas. (The source
     antenna count is the reference here; the budget can be overridden
     independently on :class:`SystemConfig` for asymmetric experiments.)
+    ``n_s`` must be a positive integer and ``rho`` finite and positive.
     """
+    _check_scalar("n_s", n_s, integer=True, low=1)
     return _check_scalar("rho", rho, low=0, open_low=True) * n_s
 
 

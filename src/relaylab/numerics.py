@@ -9,15 +9,18 @@ against ``numpy.random.Philox``) lets millions of independently-keyed
 trials be sampled in single array operations. Gram eigenvalues come
 from :func:`gram_eigvals_desc` (``eigvalsh``, or at order 2 the closed
 form that also gives the transceiver its eigenpairs); a private trace
-helper screens for it. Two private checks stand behind every public
-boundary: ``_check_scalar`` for one number, ``_check_array`` for arrays.
+helper screens for it. Where a Gram is needed by its entries (the order-2
+closed form, the trace screen, the transceiver's order-2 eigenpairs), one
+private helper, ``_gram_entries``, forms them on contiguous real planes.
+Two private checks stand behind every public boundary: ``_check_scalar``
+for one number, ``_check_array`` for arrays.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -174,9 +177,14 @@ def philox4x64_block(master_seed: int, c0, c1, c2, c3) -> tuple[np.ndarray, ...]
 
     Bit-compatible with ``numpy.random.Philox`` (numpy emits the block of
     counter ``c + 1``; this function evaluates the block of ``c`` itself).
+    ``master_seed`` must lie in [0, 2^64 - 1] and every counter word must be
+    a non-negative integer; anything else raises :class:`ContractViolation`
+    naming it.
     """
+    _check_scalar("master_seed", master_seed, integer=True, low=0, high=_MAX_U64)
+    counters = (_check_array(f"c{i}", c, low=0, integer=True) for i, c in enumerate((c0, c1, c2, c3)))
     # 1-d minimum: numpy scalar arithmetic warns on the intended wraparound.
-    cols = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=_U64)) for c in (c0, c1, c2, c3)))
+    cols = np.broadcast_arrays(*(np.atleast_1d(c.astype(_U64, copy=False)) for c in counters))
     return _philox_rounds(master_seed, *cols)
 
 
@@ -308,22 +316,57 @@ def eig_hermitian_desc(a: np.ndarray) -> HermitianEig:
     return HermitianEig(values=values, vectors=_fix_eigenvector_phases(vectors))
 
 
-def _gram2_eigh(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gram_entries(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, dict]:
+    """The entries of the smaller Gram ``A = X X^H`` of each matrix of an (n, r, c) stack.
+
+    ``X`` is the matrix, or its transpose when r > c (that conjugates the
+    Gram; the spectrum is unchanged). Returns ``(re, im, diag, upper)``:
+    the real and imaginary parts of ``X`` as contiguous (k, l, n) planes,
+    k <= l, the real diagonal ``A_ii`` as k (n,) planes, and ``upper[i, j]
+    = (Re A_ij, Im A_ij)`` for i < j. Every entry is formed on the planes in
+    real arithmetic and summed over the l columns in order, so row ``i``
+    depends on ``mats[i]`` only.
+    """
+    if mats.shape[1] > mats.shape[2]:
+        mats = mats.swapaxes(1, 2)
+    re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (mats.real, mats.imag))
+    k = re.shape[0]
+
+    def total(terms):  # in column order, at any n; numpy's sum is pairwise along a lone row
+        return reduce(np.add, terms)
+
+    diag = [total(re[i] * re[i] + im[i] * im[i]) for i in range(k)]
+    upper = {
+        (i, j): (total(re[i] * re[j] + im[i] * im[j]), total(im[i] * re[j] - re[i] * im[j]))
+        for i in range(k)
+        for j in range(i + 1, k)
+    }
+    return re, im, diag, upper
+
+
+def _gram2_eigh(a: np.ndarray, b: np.ndarray, c: tuple, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of each order-2 Gram ``[[a, c], [conj c, b]]``, no LAPACK call.
 
-    Returns the values (n, 2), ``lambda_1 >= lambda_2 >= 0``, and the unit
-    top eigenvector ``u_1`` (n, 2); ``u_2 = (-conj u_1[1], conj u_1[0])``.
-    ``u_1`` comes from the row of ``G - lambda_1 I`` whose entry on the
-    diagonal side, ``|a - b| / 2 + disc``, is a sum of non-negative terms,
-    so nothing cancels; a multiple of I gets ``u_1 = (1, 0)``.
+    ``c`` is the pair ``(Re c, Im c)`` of real planes. Returns the values
+    (n, 2), ``lambda_1 >= lambda_2 >= 0``, and the unit top eigenvector
+    ``u_1`` (n, 2); ``u_2 = (-conj u_1[1], conj u_1[0])``. ``u_1`` comes
+    from the row of ``G - lambda_1 I`` whose entry on the diagonal side,
+    ``|a - b| / 2 + disc``, is a sum of non-negative terms, so nothing
+    cancels; a multiple of I gets ``u_1 = (1, 0)``. Without ``vectors``,
+    ``u_1`` is None.
     """
+    c_re, c_im = c
+    abs_c2 = c_re**2 + c_im**2
     half = 0.5 * (a + b)
-    disc = np.sqrt(0.25 * (a - b) ** 2 + c.real**2 + c.imag**2)
+    disc = np.sqrt(0.25 * (a - b) ** 2 + abs_c2)
     values = np.stack([half + disc, np.maximum(half - disc, 0.0)], axis=-1)
+    if not vectors:
+        return values, None
     lead = 0.5 * np.abs(a - b) + disc
-    norm = np.sqrt(lead**2 + c.real**2 + c.imag**2)
+    norm = np.sqrt(lead**2 + abs_c2)
     scale = np.divide(1.0, norm, out=np.zeros_like(norm), where=norm > 0.0)
     top = a >= b
+    c = c_re + 1j * c_im
     u1 = np.stack([np.where(top, lead, c) * scale, np.where(top, c.conj(), lead) * scale], axis=-1)
     u1[norm == 0.0, 0] = 1.0
     return values, u1
@@ -333,20 +376,26 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` eigenvalues of ``A^H A`` for each ``A`` of an (n, r, c) stack.
 
     Returns (n, k), each row descending. The spectrum is taken from the
-    smaller of ``A A^H`` and ``A^H A`` (``_gram2_eigh`` at order 2,
-    ``eigvalsh`` otherwise), clipped at 0, and padded with exact zeros
-    beyond the rank bound min(r, c). Row ``i`` depends on ``mats[i]``
-    only, so a one-matrix stack gives the same bits as the full batch.
-    ``mats`` must be finite and ``k`` a positive integer.
+    smaller of ``A A^H`` and ``A^H A``: at order 2 by ``_gram2_eigh`` on
+    the entries of ``_gram_entries``, otherwise by ``eigvalsh`` on the
+    stacked matmul. It is clipped at 0 and padded with exact zeros beyond
+    the rank bound min(r, c). Row ``i`` depends on ``mats[i]`` only, so a
+    one-matrix stack gives the same bits as the full batch. ``mats`` must
+    be finite and ``k`` a positive integer.
     """
-    mats = _check_array("mats", mats)
     _check_scalar("k", k, integer=True, low=1)
+    return _gram_eigvals(_check_array("mats", mats), k)
+
+
+def _gram_eigvals(mats: np.ndarray, k: int) -> np.ndarray:
+    # gram_eigvals_desc on a stack its caller has checked
     order = min(mats.shape[1:])
-    herm = mats.conj().swapaxes(-1, -2)
-    gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
     if order == 2:
-        values = _gram2_eigh(gram[..., 0, 0].real, gram[..., 1, 1].real, gram[..., 0, 1])[0]
+        _, _, (a, b), upper = _gram_entries(mats)
+        values = _gram2_eigh(a, b, upper[0, 1], vectors=False)[0]
     else:
+        herm = mats.conj().swapaxes(-1, -2)
+        gram = mats @ herm if mats.shape[1] <= mats.shape[2] else herm @ mats
         values = np.maximum(np.linalg.eigvalsh(gram)[..., ::-1], 0.0)
     if k <= order:
         return values[:, :k]
@@ -356,28 +405,26 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
 def _gram_inv_trace(mats: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """``(tr((I + rho A)^-1), tr A)`` for the smaller Gram ``A`` of each matrix
     of an (n, r, c) stack, in real arithmetic on (n,) planes, any order:
-    the Gram entries, the Cholesky factor L of I + rho A (eigenvalues >= 1),
-    then tr((I + rho A)^-1) = ||L^-1||_F^2. No LAPACK call.
+    the entries of ``_gram_entries``, the Cholesky factor L of I + rho A
+    (eigenvalues >= 1), then tr((I + rho A)^-1) = ||L^-1||_F^2, and tr A
+    from the diagonal entries. No LAPACK call.
     """
-    if mats.shape[1] > mats.shape[2]:
-        mats = mats.swapaxes(1, 2)  # conjugates the Gram; the spectrum is unchanged
-    k = mats.shape[1]
-    re, im = (np.ascontiguousarray(part.transpose(1, 2, 0)) for part in (mats.real, mats.imag))
-    trace = (re**2 + im**2).sum(axis=(0, 1))
+    _, _, diag, upper = _gram_entries(mats)  # the planes are dropped here, for peak RSS
+    k = len(diag)
     lr, li, inv_d = {}, {}, []  # L below its diagonal, 1 / its diagonal
     for j in range(k):
-        for i in range(j, k):
-            # (I + rho A)_ij - sum_p L_ip conj(L_jp)
-            sr = rho * (re[i] * re[j] + im[i] * im[j]).sum(axis=0)
-            si = rho * (im[i] * re[j] - re[i] * im[j]).sum(axis=0)
+        sr = rho * diag[j]  # (I + rho A)_jj - sum_p |L_jp|^2, real
+        for p in range(j):
+            sr -= lr[j, p] * lr[j, p] + li[j, p] * li[j, p]
+        inv_d.append(1.0 / np.sqrt(1.0 + sr))
+        for i in range(j + 1, k):
+            # (I + rho A)_ij - sum_p L_ip conj(L_jp), with A_ij = conj(A_ji)
+            sr, si = rho * upper[j, i][0], -rho * upper[j, i][1]
             for p in range(j):
                 sr -= lr[i, p] * lr[j, p] + li[i, p] * li[j, p]
                 si -= li[i, p] * lr[j, p] - lr[i, p] * li[j, p]
-            if i == j:
-                inv_d.append(1.0 / np.sqrt(1.0 + sr))
-            else:
-                lr[i, j], li[i, j] = sr * inv_d[j], si * inv_d[j]
-    del re, im  # peak RSS: the planes are dead from here
+            lr[i, j], li[i, j] = sr * inv_d[j], si * inv_d[j]
+    trace = reduce(np.add, diag)
     inv_trace = 0.0
     for j in range(k):  # column j of L^-1 by forward substitution
         xr, xi = {j: inv_d[j]}, {j: 0.0}

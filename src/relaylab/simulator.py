@@ -8,9 +8,10 @@ trials. The ``bound`` mode needs at most the two hop Gram spectra per
 trial, which makes 1e7-1e8 trials per point tractable: a Cholesky trace
 screen decides most draws exactly, and only the rest reach the spectra
 (closed form for order 2). The ``exact`` and ``separate`` modes
-take the per-stream SINR of the optimal transceiver from one stacked
-eigendecomposition of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``)
-and the closed-form water level (``optimal_gamma_batch``), a few times
+take the per-stream SINR of the optimal transceiver from the eigenpairs
+of the order-M Gram of ``h`` (``H^H H`` or ``H H^H``; closed form at
+M = 2, one stacked ``eigh`` otherwise) and the closed-form water level
+(``optimal_gamma_batch``), a few times
 slower per trial than ``bound``: ``mse_i = rho + sum_{k<M} |V_ik|^2
 (1 / (phi_k^2 lambda_g_k + 1/lambda_y_k) - lambda_y_k)``.
 
@@ -284,16 +285,31 @@ def run_point(
         return consume(executor)
 
 
+class _SharedPool:
+    """The process pool of a sweep, built when the first block is submitted to it."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.pool: ProcessPoolExecutor | None = None
+
+    def submit(self, fn, *args):
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        return self.pool.submit(fn, *args)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> OutageCurve:
     """Estimate the outage curve across the SNR grid of ``spec``.
 
     The curve is a pure function of the spec: grid points use disjoint
     stream ranges keyed by their index, so results never depend on
-    worker count or on other points.
+    worker count or on other points. With ``workers`` > 1 the points share
+    one process pool, built when the first point of more than one block
+    submits to it: a sweep whose points are one block each builds none.
     """
     _check_scalar("workers", workers, integer=True, low=1)
     points = []
-    executor = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    executor = _SharedPool(workers) if workers > 1 else None
     try:
         for index, snr_db in enumerate(spec.snr_grid_db):
             outages, trials = run_point(
@@ -320,8 +336,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> OutageCurve:
                 )
             )
     finally:
-        if executor is not None:
-            executor.shutdown()
+        if executor is not None and executor.pool is not None:
+            executor.pool.shutdown()
     return OutageCurve(points=tuple(points), mode=spec.outage_mode, config=spec.config)
 
 

@@ -35,8 +35,9 @@ from .numerics import (
     _check_array,
     _check_scalar,
     _gram2_eigh,
+    _gram_eigvals,
+    _gram_entries,
     eig_hermitian_desc,
-    gram_eigvals_desc,
     solve_hermitian_psd,
 )
 
@@ -324,8 +325,10 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     ``h`` is (n, n_r, n_s) and ``g`` is (n, n_d, n_r); returns (n, n_s).
     The M live eigenpairs ``(lambda_k, v_k)`` of ``H^H H`` come from the
     order-M Gram: ``H^H H`` when n_s <= n_r, else ``H H^H`` with
-    eigenvectors ``u_k`` and ``v_k = H^H u_k / sqrt(lambda_k)``; at M = 2 in
-    closed form from the Gram's entries (``_gram2_eigh``), else by ``eigh``.
+    eigenvectors ``u_k`` and ``v_k = H^H u_k / sqrt(lambda_k)``. At M = 2
+    they come in closed form (``_gram2_eigh``) from the Gram's entries on
+    the real planes of ``_gram_entries``, and on wide shapes ``|H^H u_k|^2``
+    is formed on the (n_s, n) planes of ``h``'s rows; otherwise by ``eigh``.
     With ``lambda_y = rho^2 lambda / (rho lambda + 1)`` on the same
     eigenvectors, ``V`` unitary and ``1/(lambda + 1/rho) - rho = -lambda_y``,
     the diagonal of the two-term error covariance sums over the live modes:
@@ -335,6 +338,7 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     The bracket is summed as ``-a_k lambda_y_k / (a_k + 1)``, ``a_k = phi_k^2
     lambda_g_k lambda_y_k``, and ``gamma = (rho - mse) / mse``: nothing cancels,
     a mode with ``lambda_k = 0`` weighs zero and a dead hop gives ``gamma = 0``.
+    Each stack is scanned for NaN and inf once, here.
     """
     n_s, n_r, n_d, m = config.n_s, config.n_r, config.n_d, config.m_dim
     h = _check_array("channel stack h", np.asarray(h, dtype=np.complex128))
@@ -344,30 +348,30 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
             f"channel stacks {h.shape}/{g.shape} do not match config {config.shape_label}"
         )
     rho = config.rho
-    herm = h.conj().swapaxes(-1, -2)
-    wide = n_s > n_r
-    if m == 2:  # the Gram x x^H from its entries, eigenpairs in closed form
-        x0, x1 = (h if wide else herm).swapaxes(0, 1)
-        a, b = ((x.real**2 + x.imag**2).sum(axis=-1) for x in (x0, x1))
-        lam, u1 = _gram2_eigh(a, b, (x0 * x1.conj()).sum(axis=-1))
-        p, q = u1[:, :1], u1[:, 1:]  # u_2 = (-conj q, conj p)
-        if wide:  # H^H u_k
-            v = np.stack([x0 * p.conj() + x1 * q.conj(), x1 * p - x0 * q], axis=-1)
-        else:
-            v = np.stack([u1, np.concatenate([-q.conj(), p.conj()], axis=1)], axis=-1)
+    wide = n_s > n_r  # the weights below are then lambda_k |v_k|^2
+    if m == 2:  # h's Gram from its entries, eigenpairs in closed form; u_1 = (p, q), u_2 = (-conj q, conj p)
+        re, im, (a, b), upper = _gram_entries(h if wide else h.swapaxes(1, 2))
+        lam, u1 = _gram2_eigh(a, b, upper[0, 1])
+        p, q = u1.T
+        if wide:  # H^H u_k on the (n_s, n) planes of h's rows
+            x0, x1 = re + 1j * im
+            v = np.stack([x0 * p.conj() + x1 * q.conj(), x1 * p - x0 * q]).transpose(2, 1, 0)
+        else:  # h^T's Gram is conj(H^H H): conjugate eigenvectors, the same weights
+            v = np.stack([u1, np.stack([-q.conj(), p.conj()], axis=-1)], axis=-1)
     else:
+        herm = h.conj().swapaxes(-1, -2)
         lam, u = np.linalg.eigh(h @ herm if wide else herm @ h)
         lam = np.maximum(lam[:, ::-1], 0.0)
-        v = herm @ u[:, :, ::-1] if wide else u[:, :, ::-1]  # wide: sqrt(lambda_k) v_k
+        v = herm @ u[:, :, ::-1] if wide else u[:, :, ::-1]
     weights = v.real**2 + v.imag**2
-    if wide:
-        weights *= np.divide(1.0, lam, out=np.zeros_like(lam), where=lam > 0.0)[:, None, :]
 
     lambda_y = rho**2 * lam / (rho * lam + 1.0)
-    lambda_g = gram_eigvals_desc(g, m)
+    lambda_g = _gram_eigvals(g, m)
     phi, _ = waterfill_phi_batch(lambda_y, lambda_g, config.p_r)
     gain = phi**2 * lambda_g * lambda_y
-    gained = np.einsum("nik,nk->ni", weights, gain * lambda_y / (gain + 1.0))  # rho - mse
+    # rho - mse per unit weight; lambda_y / lambda = rho^2 / (rho lambda + 1) for the wide weights
+    share = gain / (gain + 1.0) * (rho**2 / (rho * lam + 1.0) if wide else lambda_y)
+    gained = np.einsum("nik,nk->ni", weights, share)
     return gained / (rho - gained)
 
 

@@ -1,5 +1,6 @@
-"""Every public function and checked dataclass of numerics, transceiver and
-metrics refuses bad input with a ContractViolation that names it.
+"""Every public function and checked dataclass of numerics, transceiver,
+metrics, channel, theory and simulator refuses bad input with a
+ContractViolation that names it.
 
 One row per public name: the parameter, a bad value, a call that passes it,
 and the text the error names the parameter by (the message starts with it).
@@ -9,11 +10,12 @@ library builds itself take no input and have no row.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from relaylab import metrics, numerics, transceiver
+from relaylab import channel, metrics, numerics, simulator, theory, transceiver
 from relaylab.channel import SystemConfig, sample_realization
 from relaylab.numerics import ContractViolation, SeedSpec
 
@@ -21,7 +23,11 @@ CONFIG = SystemConfig(n_s=2, n_r=2, n_d=2, rho=10.0, rate_bpcu=1.0)
 CHAN = sample_realization(CONFIG, SeedSpec(5, 0))
 OTHER = sample_realization(SystemConfig(n_s=3, n_r=2, n_d=4), SeedSpec(5, 0))  # hops of another shape
 DESIGN = transceiver.build_design(CONFIG, CHAN)
-RESULT_RECORDS = {numerics.HermitianEig, transceiver.TransceiverDesign, transceiver.ErrorCovariance, metrics.MiReport}
+RESULT_RECORDS = {
+    numerics.HermitianEig, transceiver.TransceiverDesign, transceiver.ErrorCovariance, metrics.MiReport,
+    theory.DiversityPrediction, simulator.OutagePoint, simulator.OutageCurve, simulator.SlopeFit,
+}
+MODULES = (numerics, transceiver, metrics, channel, theory, simulator)
 
 
 def _with(array, value):
@@ -76,6 +82,30 @@ ROWS = [
     (metrics, "channel_eigenvalues", "chan", OTHER, lambda v: metrics.channel_eigenvalues(CONFIG, v), "channel shapes"),
     (metrics, "evaluate_realization", "chan", OTHER, lambda v: metrics.evaluate_realization(CONFIG, v),
      "channel shapes"),
+    (channel, "SystemConfig", "n_d", 0, lambda v: SystemConfig(n_s=2, n_r=2, n_d=v), "n_d"),
+    (channel, "ChannelRealization", "g", math.nan, lambda v: channel.ChannelRealization(CHAN.h, _with(CHAN.g, v)),
+     "hop g"),
+    (channel, "default_power_coupling", "n_s", -1, lambda v: channel.default_power_coupling(v, 1.0), "n_s"),
+    (channel, "sample_realization", "seed", SimpleNamespace(master_seed=-1, stream_index=0),
+     lambda v: channel.sample_realization(CONFIG, v), "master_seed"),
+    (channel, "sample_realization_batch", "stream_indices", -1,
+     lambda v: channel.sample_realization_batch(CONFIG, 0, np.array([v])), "stream_indices"),
+    (channel, "config_at_snr", "snr_db", math.inf, lambda v: channel.config_at_snr(CONFIG, v), "snr_db"),
+    (theory, "m_bar", "rate_bpcu", -1.0, lambda v: theory.m_bar(2, 2, v), "rate_bpcu"),
+    (theory, "outage_threshold", "m_dim", 0, lambda v: theory.outage_threshold(2, v, 1.0), "m_dim"),
+    (theory, "drt", "n_d", 0, lambda v: theory.drt(2, 2, v, 1.0), "n_d"),
+    (theory, "dmt", "r_mult", math.nan, lambda v: theory.dmt(2, 2, 2, v), "r_mult"),
+    (theory, "classify_regime", "n_s", 1.5, lambda v: theory.classify_regime(v, 1.0), "n_s"),
+    (theory, "predict", "rate_bpcu", math.inf, lambda v: theory.predict(2, 2, 2, v), "rate_bpcu"),
+    (simulator, "SweepSpec", "trials_per_point", 10,
+     lambda v: simulator.SweepSpec(CONFIG, (0.0, 10.0), v), "trials_per_point"),
+    (simulator, "wilson_interval", "trials", 0, lambda v: simulator.wilson_interval(0, v), "trials"),
+    (simulator, "run_point", "workers", 0,
+     lambda v: simulator.run_point(CONFIG, 10.0, 100, "bound", 0, workers=v), "workers"),
+    (simulator, "run_sweep", "workers", True,
+     lambda v: simulator.run_sweep(simulator.SweepSpec(CONFIG, (0.0,), 100), workers=v), "workers"),
+    (simulator, "fit_slope", "min_count", 0,
+     lambda v: simulator.fit_slope(simulator.OutageCurve((), "bound", CONFIG), min_count=v), "min_count"),
 ]
 
 
@@ -86,7 +116,7 @@ def _qualified(module, name):
 @pytest.mark.parametrize(
     "bad,call,named",
     [row[3:] for row in ROWS],
-    ids=[f"{_qualified(module, name)}-{param}-{bad if np.isscalar(bad) else 'other-shape'}"
+    ids=[f"{_qualified(module, name)}-{param}-{'other-shape' if isinstance(bad, channel.ChannelRealization) else bad}"
          for module, name, param, bad, *_ in ROWS],
 )
 def test_rejects_by_name(bad, call, named):
@@ -97,10 +127,11 @@ def test_rejects_by_name(bad, call, named):
 def test_every_public_name_has_a_row():
     public = {
         _qualified(module, name)
-        for module in (numerics, transceiver, metrics)
+        for module in MODULES
         for name, obj in ((name, getattr(module, name)) for name in module.__all__)
         if callable(obj) and obj not in RESULT_RECORDS and not (isinstance(obj, type) and issubclass(obj, Exception))
     }
     rows = [_qualified(module, name) for module, name, *_ in ROWS]
     assert len(rows) == len(set(rows)), "one row per public name"
     assert set(rows) == public
+    assert {module for module, *_ in ROWS} == set(MODULES)

@@ -22,6 +22,12 @@ class TestPowerCoupling:
         with pytest.raises(ContractViolation):
             default_power_coupling(2, 0.0)
 
+    @pytest.mark.parametrize("n_s", [-1, 0, np.nan, 1.5, True])
+    def test_rejects_bad_n_s(self, n_s):
+        # -1 gave a budget of -1.0 and NaN a NaN budget
+        with pytest.raises(ContractViolation, match="^n_s "):
+            default_power_coupling(n_s, 1.0)
+
     def test_config_defaults_to_coupling(self):
         config = SystemConfig(n_s=3, n_r=2, n_d=2, rho=5.0)
         assert config.p_r == 15.0

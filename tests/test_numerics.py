@@ -16,6 +16,7 @@ from relaylab.numerics import (
     SeedSpec,
     _check_array,
     _gram2_eigh,
+    _gram_entries,
     _gram_inv_trace,
     _philox_key,
     _uniform_words,
@@ -96,6 +97,22 @@ class TestPhilox:
         b = sample_complex_gaussian_batch(4, 4, 7, streams + np.uint64(6250)).ravel()
         corr = np.mean(a * b.conj())  # E a E b* = 0, Var|a|=1
         assert abs(corr) < 0.01
+
+    @pytest.mark.parametrize(
+        "name,args",  # the argument the error must name; (master_seed, c0, c1, c2, c3)
+        [
+            ("master_seed", (-1, 0, 0, 0, 0)),  # raised numpy's ValueError from SeedSequence
+            ("master_seed", (2**64, 0, 0, 0, 0)),
+            ("master_seed", (1.5, 0, 0, 0, 0)),
+            ("c0", (0, -1, 0, 0, 0)),
+            ("c2", (0, 0, 0, np.array([3, -1]), 0)),  # would wrap to 2**64 - 1
+            ("c3", (0, 0, 0, 0, [0.5])),
+            ("c1", (0, 0, True, 0, 0)),
+        ],
+    )
+    def test_philox_block_rejects_bad_input(self, name, args):
+        with pytest.raises(ContractViolation, match=f"^{name} "):
+            philox4x64_block(*args)
 
     def test_seedspec_validation(self):
         with pytest.raises(ContractViolation):
@@ -260,18 +277,39 @@ class TestGramEigvals:
 
     def test_order2_eigenpairs(self):
         # Random Grams on both sides of a >= b, rank one, a = b with c = 0
-        # (a multiple of I, zero included) and a = b with c != 0
-        mats = self._stack(2, 3)
-        gram = mats @ mats.conj().swapaxes(-1, -2)
-        gram = np.concatenate([gram, [2.5 * np.eye(2), [[3.0, 1 - 2j], [1 + 2j, 3.0]]]])
-        values, u1 = _gram2_eigh(gram[:, 0, 0].real, gram[:, 1, 1].real, gram[:, 0, 1])
+        # (a multiple of I, zero included) and a = b with c != 0. The entries
+        # come from _gram_entries; the pairs are checked on the matmul Gram.
+        mats = np.concatenate([self._stack(2, 3), [1.5 * np.eye(2, 3), [[1, 1, 1], [1, 1j, 1j]]]])
+        _, _, (a, b), upper = _gram_entries(mats)
+        values, u1 = _gram2_eigh(a, b, upper[0, 1])
+        gram = mats @ mats.conj().swapaxes(-1, -2)  # the last one is [[3, 1 - 2j], [1 + 2j, 3]]
         u = np.stack([u1, np.stack([-u1[:, 1].conj(), u1[:, 0].conj()], axis=-1)], axis=-1)
         assert np.allclose(u.conj().swapaxes(-1, -2) @ u, np.eye(2), rtol=0, atol=1e-14)
         scale = 1.0 + values[:, :1, None]
         assert np.all(np.abs(gram @ u - u * values[:, None, :]) <= 1e-13 * scale)
-        expected = np.concatenate([gram_eigvals_desc(mats, 2), [[2.5, 2.5], [3 + 5**0.5, 3 - 5**0.5]]])
-        assert np.array_equal(values, expected)
-        assert np.array_equal(u1[-3:-1], [[1.0, 0.0], [1.0, 0.0]])  # the zero matrix and 2.5 I
+        assert np.array_equal(values, gram_eigvals_desc(mats, 2))
+        assert np.array_equal(values[-2:], [[2.25, 2.25], [3 + 5**0.5, 3 - 5**0.5]])
+        assert np.array_equal(u1[-3:-1], [[1.0, 0.0], [1.0, 0.0]])  # the zero matrix and 2.25 I
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (2, 9), (3, 2), (4, 2), (12, 2)])
+    def test_order2_matches_eigvalsh(self, shape):
+        # 2 x c and r x 2 stacks: random, rank one, zero, and a = b (the smaller
+        # side's two vectors are conjugates, with c != 0), past 8 columns too,
+        # where numpy's sum of one matrix is pairwise but a stack's is in order
+        mats = self._stack(*shape)
+        equal = mats[:10].copy()
+        if shape[0] <= shape[1]:
+            equal[:, 1] = equal[:, 0].conj()
+        else:
+            equal[:, :, 1] = equal[:, :, 0].conj()
+        mats = np.concatenate([mats, equal])
+        got = gram_eigvals_desc(mats, 2)
+        ref = np.linalg.eigvalsh(mats.conj().swapaxes(-1, -2) @ mats)[:, ::-1][:, :2]
+        assert np.all(np.abs(got - ref) <= 1e-13 * (1.0 + ref[:, :1]))
+        _, _, (a, b), _ = _gram_entries(equal)
+        assert np.array_equal(a, b)
+        for i in range(mats.shape[0]):
+            assert np.array_equal(gram_eigvals_desc(mats[i][None], 2)[0], got[i])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("shape", [(3, 2), (4, 4)])  # the order-2 closed form and eigvalsh

@@ -440,6 +440,29 @@ class TestScheduler:
             plans.append(executor.submitted)
         assert plans[0] == plans[1] == [(s, min(BLOCK, trials - s)) for s in range(0, trials, BLOCK)]
 
+    def test_pool_built_only_for_a_point_of_several_blocks(self, monkeypatch):
+        # A sweep of one-block points builds no pool at any worker count; a
+        # sweep with points of several blocks builds one, shared by its points.
+        class _NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError("a sweep of one-block points built a process pool")
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _NoPool)
+        small = SweepSpec(CFG_222, (0.0, 10.0), 2048, outage_mode="exact", master_seed=5)
+        assert run_sweep(small, workers=2) == run_sweep(small)
+
+        built = []
+
+        class _CountedPool(_RecordingExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                built.append(self)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", _CountedPool)
+        large = SweepSpec(CFG_222, (0.0, 10.0, 20.0), 2 * BLOCK, master_seed=5)
+        assert run_sweep(large, workers=2) == run_sweep(large)
+        assert len(built) == 1 and len(built[0].submitted) == 6
+
     def test_small_point_stays_in_process(self):
         with _RecordingExecutor(2) as executor:
             _, trials = run_point(CFG_222, 10.0, 2048, "exact", master_seed=5, workers=2, _executor=executor)
