@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, SystemConfig
-from .numerics import ContractViolation, _check_array, _check_scalar, gram_eigvals_desc
+from .numerics import _check_array, _check_scalar, gram_eigvals_desc
 from .theory import outage_threshold
 from .transceiver import _check_shapes, build_design, error_cov_direct
 
@@ -73,14 +73,12 @@ def bound_statistic(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float) -> n
     ``sum_k 1/(1 + rho lambda_h_k) + 1/(rho lambda_g_k + rho/lambda_y_k)``
     with the receiver-output eigenvalues entering through the exact
     identity ``rho / lambda_y_k = 1 + 1/(rho lambda_h_k)``. Eigenvalues
-    must be finite and non-negative and ``rho`` finite and positive, or
-    ContractViolation names the argument.
+    must be finite and non-negative, ``lambda_g`` of ``lambda_h``'s shape,
+    and ``rho`` finite and positive, or ContractViolation names the argument.
     """
     lambda_h = _check_array("lambda_h", np.asarray(lambda_h, dtype=np.float64), low=0)  # a dead hop gives zeros
-    lambda_g = _check_array("lambda_g", np.asarray(lambda_g, dtype=np.float64), low=0)
+    lambda_g = _check_array("lambda_g", np.asarray(lambda_g, dtype=np.float64), low=0, shape=lambda_h.shape)
     _check_scalar("rho", rho, low=0, open_low=True)
-    if lambda_h.shape != lambda_g.shape:
-        raise ContractViolation("eigenvalue vectors must have equal length M")
     with np.errstate(divide="ignore"):
         rho_over_lambda_y = 1.0 + 1.0 / (rho * lambda_h)
         return np.sum(1.0 / (1.0 + rho * lambda_h), axis=-1) + np.sum(
@@ -99,9 +97,8 @@ def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: 
     zero. Vectors give a float; stacks give one bound per row.
     """
     _check_scalar("n_s", n_s, integer=True, low=1)
-    lambda_h = _check_array("lambda_h", np.asarray(lambda_h, dtype=np.float64), low=0)
-    if lambda_h.shape[-1] != n_s:
-        raise ContractViolation(f"lambda_h must have n_s={n_s} entries, got {lambda_h.shape[-1]}")
+    lambda_h = np.asarray(lambda_h, dtype=np.float64)
+    lambda_h = _check_array("lambda_h", lambda_h, low=0, shape=lambda_h.shape[:-1] + (n_s,))
     m = np.shape(lambda_g)[-1]  # more than n_s fails the shape check in bound_statistic
     total = bound_statistic(lambda_h[..., :m], lambda_g, rho) + np.sum(
         1.0 / (1.0 + rho * lambda_h[..., m:]), axis=-1

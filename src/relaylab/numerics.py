@@ -13,7 +13,7 @@ helper screens for it. Where a Gram is needed by its entries (the order-2
 closed form, the trace screen, the transceiver's order-2 eigenpairs), one
 private helper, ``_gram_entries``, forms them on contiguous real planes.
 Two private checks stand behind every public boundary: ``_check_scalar``
-for one number, ``_check_array`` for arrays.
+for one number, ``_check_array`` for arrays (their shape and entries).
 """
 
 from __future__ import annotations
@@ -66,14 +66,22 @@ def _check_scalar(name: str, value, integer: bool = False, low=None, high=None, 
     return value
 
 
-def _check_array(name: str, values, low=None, integer: bool = False) -> np.ndarray:
+def _check_array(name: str, values, low=None, integer: bool = False, shape=None) -> np.ndarray:
     """The one array input check, beside :func:`_check_scalar`; returns ``values`` as an array.
 
-    Every entry must be an integer (``integer``) or a finite number, and real
-    entries at least ``low`` (None: no bound; unsigned integers are not scanned
-    against a bound <= 0). A failure raises :class:`ContractViolation` naming ``name``.
+    ``shape`` is None (any shape) or a tuple of ints and Nones: the array has
+    ``len(shape)`` axes, each int giving that axis's size and None any size.
+    The shape is checked first. Then every entry must be an integer
+    (``integer``) or a finite number, and real entries at least ``low`` (None:
+    no bound; unsigned integers are not scanned against a bound <= 0). A
+    failure raises :class:`ContractViolation` naming ``name``.
     """
     values = np.asarray(values)
+    if shape is not None and (
+        values.ndim != len(shape) or any(w not in (None, n) for w, n in zip(shape, values.shape))
+    ):
+        want = str(tuple("*" if w is None else int(w) for w in shape)).replace("'*'", "*")
+        raise ContractViolation(f"{name} must have shape {want}, got {values.shape}")
     kind = values.dtype.kind
     if integer and values.size and kind not in "iu":
         raise ContractViolation(f"{name} must be integers, got dtype {values.dtype}")
@@ -239,7 +247,8 @@ def sample_complex_gaussian_batch(
     _check_scalar("cols", cols, integer=True, low=1)
     _check_scalar("master_seed", master_seed, integer=True, low=0, high=_MAX_U64)
     _check_scalar("lane", lane, integer=True, low=0, high=_MAX_U64)
-    streams = _check_array("stream_indices", stream_indices, low=0, integer=True).astype(np.uint64, copy=False)
+    streams = _check_array("stream_indices", stream_indices, low=0, integer=True, shape=(None,))
+    streams = streams.astype(np.uint64, copy=False)
     u = _uniform_words(master_seed, lane, streams, 2 * rows * cols)
     return _complex_gaussian_from_uniforms(u).reshape(streams.shape[0], rows, cols)
 
@@ -264,9 +273,9 @@ class HermitianEig(NamedTuple):
 
 
 def require_hermitian(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    a = _check_array(what, np.asarray(a, dtype=np.complex128))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ContractViolation(f"{what} must be square, got shape {a.shape}")
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0] if a.ndim else None  # 0-d and 1-d input fail on the axis count
+    a = _check_array(what, a, shape=(n, n))
     scale = 1.0 + (float(np.max(np.abs(a))) if a.size else 0.0)
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > HERMITIAN_TOL * scale:
@@ -384,7 +393,7 @@ def gram_eigvals_desc(mats: np.ndarray, k: int) -> np.ndarray:
     be finite and ``k`` a positive integer.
     """
     _check_scalar("k", k, integer=True, low=1)
-    return _gram_eigvals(_check_array("mats", mats), k)
+    return _gram_eigvals(_check_array("mats", mats, shape=(None, None, None)), k)
 
 
 def _gram_eigvals(mats: np.ndarray, k: int) -> np.ndarray:
@@ -445,9 +454,8 @@ def solve_hermitian_psd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     below ``1e-9 * ||b||_F``.
     """
     a = require_hermitian(a, "solve input")
-    b = _check_array("solve rhs", np.asarray(b, dtype=np.complex128))
-    if b.shape[0] != a.shape[0]:
-        raise ContractViolation(f"rhs rows {b.shape[0]} do not match matrix order {a.shape[0]}")
+    b = np.asarray(b, dtype=np.complex128)
+    b = _check_array("solve rhs", b, shape=(a.shape[0],) if b.ndim == 1 else (a.shape[0], None))
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError:

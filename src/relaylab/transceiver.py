@@ -96,7 +96,7 @@ class ErrorCovariance:
 def _relay_output(h: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     # The receiver L and its output covariance R_y from one solve.
     _check_scalar("rho", rho, low=0, open_low=True)
-    h = np.asarray(h, dtype=np.complex128)
+    h = _check_array("h", np.asarray(h, dtype=np.complex128), shape=(None, None))
     a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
     l = rho * solve_hermitian_psd(a, h).conj().T
     r_y = l @ a @ l.conj().T
@@ -145,14 +145,9 @@ def waterfill_phi_batch(
     ``phi`` (n, M) and ``nu`` (n,); rows where every mode is dead get
     ``phi = 0`` and ``nu = +inf``.
     """
-    lambda_y = np.asarray(lambda_y, dtype=np.float64)
-    lambda_g = np.asarray(lambda_g, dtype=np.float64)
-    if lambda_y.shape != lambda_g.shape or lambda_y.ndim != 2:
-        raise ContractViolation(
-            f"eigenvalue stacks must share one (n, M) shape, got {lambda_y.shape} and {lambda_g.shape}"
-        )
+    lambda_y = _check_array("lambda_y", np.asarray(lambda_y, dtype=np.float64), low=0, shape=(None, None))
+    lambda_g = _check_array("lambda_g", np.asarray(lambda_g, dtype=np.float64), low=0, shape=lambda_y.shape)
     for name, vec in (("lambda_y", lambda_y), ("lambda_g", lambda_g)):
-        _check_array(name, vec, low=0)
         if np.any(np.diff(vec, axis=1) > 1e-12 * (1.0 + vec[:, :-1])):
             raise ContractViolation(f"{name} must be sorted descending")
     _check_scalar("p_r", p_r, low=0, open_low=True)
@@ -205,7 +200,9 @@ def destination_receiver(h: np.ndarray, g: np.ndarray, q: np.ndarray, rho: float
     ``q``, not only the optimal one.
     """
     _check_scalar("rho", rho, low=0, open_low=True)
-    f = g @ _check_array("q", q)
+    h = _check_array("h", h, shape=(None, None))
+    g = _check_array("g", g, shape=(None, h.shape[0]))
+    f = g @ _check_array("q", q, shape=(h.shape[0], h.shape[0]))
     t = f @ h
     n_d = g.shape[0]
     s = rho * (t @ t.conj().T) + f @ f.conj().T + np.eye(n_d)
@@ -215,7 +212,9 @@ def destination_receiver(h: np.ndarray, g: np.ndarray, q: np.ndarray, rho: float
 
 def destination_receiver_second_hop(r_y: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Equivalent receiver form ``R_y B^H G^H (G B R_y B^H G^H + I)^-1``."""
-    r_y = _check_array("r_y", r_y)
+    g = _check_array("g", g, shape=(None, None))
+    b = _check_array("b", b, shape=(g.shape[1], None))
+    r_y = _check_array("r_y", r_y, shape=(b.shape[1], b.shape[1]))
     gb = g @ b
     n_d = g.shape[0]
     s = gb @ r_y @ gb.conj().T + np.eye(n_d)
@@ -224,10 +223,9 @@ def destination_receiver_second_hop(r_y: np.ndarray, b: np.ndarray, g: np.ndarra
 
 
 def _check_shapes(config: SystemConfig, chan: ChannelRealization) -> None:
-    if chan.h.shape != (config.n_r, config.n_s) or chan.g.shape != (config.n_d, config.n_r):
-        raise ContractViolation(
-            f"channel shapes {chan.h.shape}/{chan.g.shape} do not match config {config.shape_label}"
-        )
+    # the one check of a draw against a config
+    _check_array("chan.h", chan.h, shape=(config.n_r, config.n_s))
+    _check_array("chan.g", chan.g, shape=(config.n_d, config.n_r))
 
 
 def build_design(config: SystemConfig, chan: ChannelRealization) -> TransceiverDesign:
@@ -289,7 +287,7 @@ def error_cov_decomposed(
     h = chan.h
     rho = config.rho
     n_s = config.n_s
-    b = design.b if relay_precoder is None else _check_array("relay_precoder", relay_precoder)
+    b = design.b if relay_precoder is None else _check_array("relay_precoder", relay_precoder, shape=design.b.shape)
     u = design.u_y_tilde
     lambda_y = design.lambda_y
     if lambda_y[-1] <= RANK_DEFICIENCY_RTOL * max(lambda_y[0], 0.0) or lambda_y[0] <= 0.0:
@@ -341,12 +339,8 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
     Each stack is scanned for NaN and inf once, here.
     """
     n_s, n_r, n_d, m = config.n_s, config.n_r, config.n_d, config.m_dim
-    h = _check_array("channel stack h", np.asarray(h, dtype=np.complex128))
-    g = _check_array("channel stack g", np.asarray(g, dtype=np.complex128))
-    if h.ndim != 3 or h.shape[1:] != (n_r, n_s) or g.shape != (h.shape[0], n_d, n_r):
-        raise ContractViolation(
-            f"channel stacks {h.shape}/{g.shape} do not match config {config.shape_label}"
-        )
+    h = _check_array("channel stack h", np.asarray(h, dtype=np.complex128), shape=(None, n_r, n_s))
+    g = _check_array("channel stack g", np.asarray(g, dtype=np.complex128), shape=(h.shape[0], n_d, n_r))
     rho = config.rho
     wide = n_s > n_r  # the weights below are then lambda_k |v_k|^2
     if m == 2:  # h's Gram from its entries, eigenpairs in closed form; u_1 = (p, q), u_2 = (-conj q, conj p)
@@ -377,7 +371,8 @@ def optimal_gamma_batch(config: SystemConfig, h: np.ndarray, g: np.ndarray) -> n
 
 def relay_power(h: np.ndarray, q: np.ndarray, rho: float) -> float:
     """Transmit power spent by the relay, ``Tr(Q (rho H H^H + I) Q^H)``."""
-    h, q = _check_array("h", h), _check_array("q", q)
+    h = _check_array("h", h, shape=(None, None))
+    q = _check_array("q", q, shape=(h.shape[0], h.shape[0]))
     _check_scalar("rho", rho, low=0, open_low=True)
     a = rho * (h @ h.conj().T) + np.eye(h.shape[0])
     return float(np.real(np.trace(q @ a @ q.conj().T)))

@@ -7,9 +7,14 @@ and the text the error names the parameter by (the message starts with it).
 A public name with no row fails ``test_every_public_name_has_a_row``, so a
 new name cannot skip the rule. Exceptions and the result records that the
 library builds itself take no input and have no row.
+
+``SHAPE_ROWS`` holds one wrong-shape row per public callable that takes an
+array of a fixed shape; the error must be ``{name} must have shape ...``.
+The public names with no shape row are listed in ``NO_SHAPE_ROW``.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,7 +62,7 @@ ROWS = [
      lambda v: transceiver.waterfill_phi(np.array([v, 1.0]), np.ones(2), 1.0), "lambda_y"),
     (transceiver, "waterfill_phi_batch", "lambda_g", -1.0,
      lambda v: transceiver.waterfill_phi_batch(np.ones((1, 2)), np.array([[1.0, v]]), 1.0), "lambda_g"),
-    (transceiver, "build_design", "chan", OTHER, lambda v: transceiver.build_design(CONFIG, v), "channel shapes"),
+    (transceiver, "build_design", "chan", OTHER, lambda v: transceiver.build_design(CONFIG, v), "chan.h"),
     (transceiver, "destination_receiver", "rho", -5.0,
      lambda v: transceiver.destination_receiver(CHAN.h, CHAN.g, DESIGN.q, v), "rho"),
     (transceiver, "destination_receiver_second_hop", "r_y", math.nan,
@@ -79,9 +84,9 @@ ROWS = [
     (metrics, "outage_threshold", "rate_bpcu", math.nan, lambda v: metrics.outage_threshold(2, 2, v), "rate_bpcu"),
     (metrics, "outage_separate", "gamma", math.inf,
      lambda v: metrics.outage_separate(np.array([1.0, v]), 1.0, 2), "gamma"),
-    (metrics, "channel_eigenvalues", "chan", OTHER, lambda v: metrics.channel_eigenvalues(CONFIG, v), "channel shapes"),
+    (metrics, "channel_eigenvalues", "chan", OTHER, lambda v: metrics.channel_eigenvalues(CONFIG, v), "chan.h"),
     (metrics, "evaluate_realization", "chan", OTHER, lambda v: metrics.evaluate_realization(CONFIG, v),
-     "channel shapes"),
+     "chan.h"),
     (channel, "SystemConfig", "n_d", 0, lambda v: SystemConfig(n_s=2, n_r=2, n_d=v), "n_d"),
     (channel, "ChannelRealization", "g", math.nan, lambda v: channel.ChannelRealization(CHAN.h, _with(CHAN.g, v)),
      "hop g"),
@@ -109,8 +114,68 @@ ROWS = [
 ]
 
 
+WRONG_G = channel.ChannelRealization(CHAN.h, np.ones((3, 2), dtype=complex))  # a valid draw for n_d = 3
+
+SHAPE_ROWS = [
+    # (module, public name, parameter, wrong-shape value, call with it, the name in the error)
+    (numerics, "eig_hermitian_desc", "a", np.ones((2, 3)), lambda v: numerics.eig_hermitian_desc(v), "eig input"),
+    (numerics, "gram_eigvals_desc", "mats", CHAN.h, lambda v: numerics.gram_eigvals_desc(v, 2), "mats"),
+    (numerics, "solve_hermitian_psd", "b", np.ones(3), lambda v: numerics.solve_hermitian_psd(np.eye(2), v),
+     "solve rhs"),
+    (numerics, "sample_complex_gaussian_batch", "stream_indices", np.zeros((2, 1), dtype=np.uint64),
+     lambda v: numerics.sample_complex_gaussian_batch(2, 2, 0, v), "stream_indices"),
+    (transceiver, "relay_receiver", "h", np.ones(2), lambda v: transceiver.relay_receiver(v, 10.0), "h"),
+    (transceiver, "signal_covariance", "h", np.ones(2), lambda v: transceiver.signal_covariance(v, 10.0), "h"),
+    (transceiver, "ry_identity_gap", "h", np.ones(2), lambda v: transceiver.ry_identity_gap(v, 10.0), "h"),
+    (transceiver, "waterfill_phi", "lambda_g", np.ones(3),
+     lambda v: transceiver.waterfill_phi(np.ones(2), v, 1.0), "lambda_g"),
+    (transceiver, "waterfill_phi_batch", "lambda_y", np.ones(2),
+     lambda v: transceiver.waterfill_phi_batch(v, np.ones(2), 1.0), "lambda_y"),
+    (transceiver, "build_design", "chan", WRONG_G, lambda v: transceiver.build_design(CONFIG, v), "chan.g"),
+    (transceiver, "destination_receiver", "g", np.ones(2),
+     lambda v: transceiver.destination_receiver(CHAN.h, v, DESIGN.q, 10.0), "g"),
+    (transceiver, "destination_receiver_second_hop", "b", np.ones(2),
+     lambda v: transceiver.destination_receiver_second_hop(DESIGN.r_y, v, CHAN.g), "b"),
+    (transceiver, "error_cov_decomposed", "relay_precoder", DESIGN.b[:, :1],
+     lambda v: transceiver.error_cov_decomposed(CONFIG, CHAN, DESIGN, relay_precoder=v), "relay_precoder"),
+    (transceiver, "error_cov_direct", "q", np.ones(2), lambda v: transceiver.error_cov_direct(CONFIG, CHAN, v), "q"),
+    (transceiver, "optimal_gamma_batch", "g", CHAN.g[None],
+     lambda v: transceiver.optimal_gamma_batch(CONFIG, np.stack([CHAN.h, CHAN.h]), v), "channel stack g"),
+    (transceiver, "relay_power", "h", np.ones(2), lambda v: transceiver.relay_power(v, np.ones((2, 2)), 10.0), "h"),
+    (metrics, "mi_lower_bound", "lambda_h", np.ones(3), lambda v: metrics.mi_lower_bound(v, np.ones(2), 10.0, 2),
+     "lambda_h"),
+    (metrics, "bound_statistic", "lambda_g", np.ones(3), lambda v: metrics.bound_statistic(np.ones(2), v, 10.0),
+     "lambda_g"),
+    (metrics, "outage_bound_statistic", "lambda_g", np.ones(3),
+     lambda v: metrics.outage_bound_statistic(np.ones(2), v, 10.0, 2, 1.0), "lambda_g"),
+    (metrics, "channel_eigenvalues", "chan", WRONG_G, lambda v: metrics.channel_eigenvalues(CONFIG, v), "chan.g"),
+    (metrics, "evaluate_realization", "chan", WRONG_G, lambda v: metrics.evaluate_realization(CONFIG, v), "chan.g"),
+    (channel, "ChannelRealization", "g", np.ones((2, 3)), lambda v: channel.ChannelRealization(CHAN.h, v), "hop g"),
+    (channel, "sample_realization_batch", "stream_indices", np.zeros((2, 1), dtype=np.uint64),
+     lambda v: channel.sample_realization_batch(CONFIG, 0, v), "stream_indices"),
+]
+
+# Public names with no shape row: they take no array, or their arrays take any shape.
+NO_SHAPE_ROW = {
+    "numerics.SeedSpec", "numerics.sample_complex_gaussian", "metrics.mutual_info_joint", "metrics.outage_threshold",
+    "metrics.outage_separate", "channel.SystemConfig", "channel.default_power_coupling", "channel.sample_realization",
+    "channel.config_at_snr", "theory.m_bar", "theory.outage_threshold", "theory.drt", "theory.dmt",
+    "theory.classify_regime", "theory.predict", "simulator.SweepSpec", "simulator.wilson_interval",
+    "simulator.run_point", "simulator.run_sweep", "simulator.fit_slope",
+}
+
+
 def _qualified(module, name):
     return f"{module.__name__.rsplit('.', 1)[-1]}.{name}"
+
+
+def _public_names():
+    return {
+        _qualified(module, name)
+        for module in MODULES
+        for name, obj in ((name, getattr(module, name)) for name in module.__all__)
+        if callable(obj) and obj not in RESULT_RECORDS and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
 
 
 @pytest.mark.parametrize(
@@ -125,13 +190,24 @@ def test_rejects_by_name(bad, call, named):
 
 
 def test_every_public_name_has_a_row():
-    public = {
-        _qualified(module, name)
-        for module in MODULES
-        for name, obj in ((name, getattr(module, name)) for name in module.__all__)
-        if callable(obj) and obj not in RESULT_RECORDS and not (isinstance(obj, type) and issubclass(obj, Exception))
-    }
     rows = [_qualified(module, name) for module, name, *_ in ROWS]
     assert len(rows) == len(set(rows)), "one row per public name"
-    assert set(rows) == public
+    assert set(rows) == _public_names()
     assert {module for module, *_ in ROWS} == set(MODULES)
+
+
+@pytest.mark.parametrize(
+    "bad,call,named",
+    [row[3:] for row in SHAPE_ROWS],
+    ids=[f"{_qualified(module, name)}-{param}" for module, name, param, *_ in SHAPE_ROWS],
+)
+def test_rejects_wrong_shape_by_name(bad, call, named):
+    with pytest.raises(ContractViolation, match=f"^{re.escape(named)} must have shape "):
+        call(bad)
+
+
+def test_every_array_taking_name_has_a_shape_row():
+    rows = [_qualified(module, name) for module, name, *_ in SHAPE_ROWS]
+    assert len(rows) == len(set(rows)), "one shape row per public name"
+    assert set(rows).isdisjoint(NO_SHAPE_ROW)
+    assert set(rows) | NO_SHAPE_ROW == _public_names()

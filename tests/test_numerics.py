@@ -228,6 +228,10 @@ class TestCheckArray:
             (np.array([3, -1]), {"low": 0, "integer": True}, "x must be at least 0, got -1"),
             ([1.5], {"integer": True}, "x must be integers, got dtype float64"),
             ([True], {"integer": True}, "x must be integers, got dtype bool"),
+            ([1.0, 2.0], {"shape": (None, None)}, "x must have shape (*, *), got (2,)"),  # wrong ndim
+            ([[1.0, 2.0]], {"shape": (None, 3)}, "x must have shape (*, 3), got (1, 2)"),  # wrong size
+            ([[1.0]], {"shape": (2,)}, "x must have shape (2,), got (1, 1)"),
+            ([np.nan], {"shape": (2,)}, "x must have shape (2,), got (1,)"),  # shape before entries
         ],
     )
     def test_one_wording_per_rule(self, values, kwargs, message):
@@ -241,6 +245,11 @@ class TestCheckArray:
             ([[1 + 1j, 0.0]], {}),
             (np.zeros(0), {"low": 1, "integer": True}),
             (np.array([0, 2**64 - 1], dtype=np.uint64), {"low": 0, "integer": True}),
+            ([[1.0, 2.0]], {"shape": (None, 2)}),  # a free axis takes any size
+            (np.zeros((0, 3)), {"shape": (None, 3)}),
+            ([[1.0, 2.0]], {"shape": (1, None)}),
+            (np.ones((2, 3, 4)), {"shape": None}),
+            (np.float64(1.0), {"shape": ()}),
         ],
     )
     def test_accepts(self, values, kwargs):
