@@ -18,7 +18,6 @@ from .numerics import ContractViolation, SeedSpec, _check_array, _check_scalar, 
 __all__ = [
     "SystemConfig",
     "ChannelRealization",
-    "default_power_coupling",
     "sample_realization",
     "sample_realization_batch",
     "config_at_snr",
@@ -29,25 +28,13 @@ _LANE_H = 0
 _LANE_G = 1
 
 
-def default_power_coupling(n_s: int, rho: float) -> float:
-    """Default relay power budget: the total source transmit power.
-
-    Per-antenna SNR ``rho`` times ``n_s`` source antennas. (The source
-    antenna count is the reference here; the budget can be overridden
-    independently on :class:`SystemConfig` for asymmetric experiments.)
-    ``n_s`` must be a positive integer and ``rho`` finite and positive.
-    """
-    _check_scalar("n_s", n_s, integer=True, low=1)
-    return _check_scalar("rho", rho, low=0, open_low=True) * n_s
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Static experiment parameters.
 
     ``rho`` is the per-antenna source SNR on a linear scale; ``p_r`` the
-    relay power budget (defaults to ``rho * n_s``); ``rate_bpcu`` the
-    target rate in bits per channel use.
+    relay power budget (defaults to ``rho * n_s``, the only budget a sweep
+    takes); ``rate_bpcu`` the target rate in bits per channel use.
     """
 
     n_s: int
@@ -62,7 +49,7 @@ class SystemConfig:
             _check_scalar(name, getattr(self, name), integer=True, low=1)
         _check_scalar("rho", self.rho, low=0, open_low=True)
         if self.p_r is None:
-            object.__setattr__(self, "p_r", default_power_coupling(self.n_s, self.rho))
+            object.__setattr__(self, "p_r", self.rho * self.n_s)
         _check_scalar("p_r", self.p_r, low=0, open_low=True)
         _check_scalar("rate_bpcu", self.rate_bpcu, low=0)
 
@@ -77,15 +64,18 @@ class SystemConfig:
 
 
 def config_at_snr(config: SystemConfig, snr_db: float) -> SystemConfig:
-    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), relay budget coupled.
+    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), with the default relay budget.
 
-    Raises :class:`ContractViolation` naming ``snr_db`` unless it is a real
-    number that keeps rho and p_r positive and finite.
+    Raises :class:`ContractViolation` naming ``config.p_r`` unless it is the
+    default budget of ``config.rho``, and naming ``snr_db`` unless that is a
+    real number that keeps rho and p_r positive and finite.
     """
+    coupled = replace(config, p_r=None).p_r
+    if config.p_r != coupled:
+        raise ContractViolation(f"config.p_r must be rho * n_s = {coupled} in a sweep, got {config.p_r}")
     _check_scalar("snr_db", snr_db)
     try:
-        rho = 10.0 ** (snr_db / 10.0)
-        return replace(config, rho=rho, p_r=default_power_coupling(config.n_s, rho))
+        return replace(config, rho=10.0 ** (snr_db / 10.0), p_r=None)
     except (OverflowError, ContractViolation):  # 10**x overflows, underflows to 0, or rho * n_s does
         raise ContractViolation(f"snr_db must keep rho and p_r positive and finite, got {snr_db}") from None
 

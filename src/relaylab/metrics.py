@@ -99,7 +99,8 @@ def mi_lower_bound(lambda_h: np.ndarray, lambda_g: np.ndarray, rho: float, n_s: 
     _check_scalar("n_s", n_s, integer=True, low=1)
     lambda_h = np.asarray(lambda_h, dtype=np.float64)
     lambda_h = _check_array("lambda_h", lambda_h, low=0, shape=lambda_h.shape[:-1] + (n_s,))
-    m = np.shape(lambda_g)[-1]  # more than n_s fails the shape check in bound_statistic
+    lambda_g = _check_array("lambda_g", lambda_g, shape=lambda_h.shape[:-1] + (None,))
+    m = lambda_g.shape[-1]  # more than n_s fails the shape check in bound_statistic
     total = bound_statistic(lambda_h[..., :m], lambda_g, rho) + np.sum(
         1.0 / (1.0 + rho * lambda_h[..., m:]), axis=-1
     )
@@ -116,11 +117,12 @@ def outage_bound_statistic(
 ) -> tuple[float, float]:
     """Outage-bound statistic of one draw and its threshold ``m``.
 
-    Both inputs are the top-M Gram eigenvalues of their hop, descending.
-    The bound declares outage when ``statistic >= m``; this event contains
-    the exact outage event on every realization.
+    Both inputs are vectors of the top-M Gram eigenvalues of their hop,
+    descending. The bound declares outage when ``statistic >= m``; this
+    event contains the exact outage event on every realization.
     """
-    return float(bound_statistic(lambda_h, lambda_g, rho)), outage_threshold(n_s, np.shape(lambda_h)[-1], rate_bpcu)
+    lambda_h = _check_array("lambda_h", lambda_h, shape=(None,))
+    return float(bound_statistic(lambda_h, lambda_g, rho)), outage_threshold(n_s, lambda_h.shape[0], rate_bpcu)
 
 
 def outage_separate(gamma: np.ndarray, rate_bpcu: float, n_s: int) -> bool | np.ndarray:

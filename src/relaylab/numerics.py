@@ -33,7 +33,6 @@ __all__ = [
     "eig_hermitian_desc",
     "gram_eigvals_desc",
     "solve_hermitian_psd",
-    "sample_complex_gaussian",
     "sample_complex_gaussian_batch",
 ]
 
@@ -236,8 +235,8 @@ def sample_complex_gaussian_batch(
 ) -> np.ndarray:
     """Draw a stack of i.i.d. CN(0,1) matrices, one per stream index.
 
-    Entry (i, :, :) is bitwise identical to
-    ``sample_complex_gaussian(rows, cols, SeedSpec(master_seed, stream_indices[i]), lane)``.
+    Real and imaginary parts are independent N(0, 1/2), so E|entry|^2 = 1.
+    Entry (i, :, :) depends on ``(master_seed, stream_indices[i], lane)`` alone.
     ``rows`` and ``cols`` must be positive integers, ``master_seed`` and
     ``lane`` must lie in [0, 2^64 - 1] and every stream index must be a
     non-negative integer; anything else raises :class:`ContractViolation`
@@ -251,15 +250,6 @@ def sample_complex_gaussian_batch(
     streams = streams.astype(np.uint64, copy=False)
     u = _uniform_words(master_seed, lane, streams, 2 * rows * cols)
     return _complex_gaussian_from_uniforms(u).reshape(streams.shape[0], rows, cols)
-
-
-def sample_complex_gaussian(rows: int, cols: int, seed: SeedSpec, lane: int = 0) -> np.ndarray:
-    """Draw one ``rows`` x ``cols`` matrix with i.i.d. CN(0,1) entries.
-
-    Real and imaginary parts are independent N(0, 1/2), so E|entry|^2 = 1.
-    """
-    streams = np.array([seed.stream_index], dtype=np.uint64)
-    return sample_complex_gaussian_batch(rows, cols, seed.master_seed, streams, lane)[0]
 
 
 # ---------------------------------------------------------------------------

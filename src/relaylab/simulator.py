@@ -38,7 +38,7 @@ import ctypes
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,9 +89,9 @@ class FitInfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Full description of one outage-vs-SNR experiment."""
+    """Full description of one outage-vs-SNR experiment; the grid alone sets rho and p_r."""
 
-    config: SystemConfig          # antennas and rate; rho is set per point
+    config: SystemConfig          # antennas and rate, kept at rho = 1; p_r must be the default
     snr_grid_db: tuple[float, ...]
     trials_per_point: int
     outage_mode: str = "bound"
@@ -104,11 +104,14 @@ class SweepSpec:
         object.__setattr__(self, "snr_grid_db", grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation(f"snr_grid_db must be strictly ascending, got {grid}")
+        config = replace(self.config, rho=1.0, p_r=None)
         for snr_db in (grid[0], grid[-1]):  # rho and p_r grow with the SNR, so the ends bound them
             try:
-                config_at_snr(self.config, snr_db)
+                config_at_snr(config, snr_db)
             except ContractViolation as exc:
                 raise ContractViolation(f"snr_grid_db: {exc}") from None
+        config_at_snr(self.config, grid[0])  # the grid is valid, so this refuses only an uncoupled p_r
+        object.__setattr__(self, "config", config)
         SeedSpec(self.master_seed)
         _check_scalar("trials_per_point", self.trials_per_point, integer=True, low=100, high=POINT_STRIDE)
         _check_scalar("target_outages", self.target_outages, integer=True, low=1 if self.adaptive else None)
@@ -222,19 +225,20 @@ def run_point(
 ) -> tuple[int, int]:
     """Count outages at one SNR point; returns ``(outages, trials_run)``.
 
-    Deterministic in (config, snr_db, trials, mode, master_seed,
-    point_index) for any worker count. A chunk of ``_CHUNK`` trials is
-    the stop unit: with ``adaptive`` the point stops at the first chunk
-    boundary where the outage count k reaches ``target_outages``, so its
-    estimate k/n is an inverse-binomial one, biased upward. A block is
-    the unit of both the pool and the compute: the largest power of two
-    of trials with at most ``_SUB_ENTRIES`` entries of the larger hop,
-    from each multiple of that size, the last one shorter. The plan
-    depends on the shape alone, never on the worker count, and a point
-    of a single block runs in the calling process. An adaptive point
-    starts a later chunk early only while the consumed prefix projects
-    that it will be needed; what is still pending at the stop is
-    cancelled.
+    ``snr_db`` sets rho and p_r (:func:`~relaylab.channel.config_at_snr`
+    refuses a ``config.p_r`` but the default). Deterministic in (config,
+    snr_db, trials, mode, master_seed, point_index) for any worker count.
+    A chunk of ``_CHUNK`` trials is the stop unit: with ``adaptive`` the
+    point stops at the first chunk boundary where the outage count k
+    reaches ``target_outages``, so its estimate k/n is an inverse-binomial
+    one, biased upward. A block is the unit of both the pool and the
+    compute: the largest power of two of trials with at most
+    ``_SUB_ENTRIES`` entries of the larger hop, from each multiple of that
+    size, the last one shorter. The plan depends on the shape alone, never
+    on the worker count, and a point of a single block runs in the calling
+    process. An adaptive point starts a later chunk early only while the
+    consumed prefix projects that it will be needed; what is still pending
+    at the stop is cancelled.
     """
     if mode not in OUTAGE_MODES:
         raise ContractViolation(f"outage_mode must be one of {OUTAGE_MODES}, got {mode!r}")

@@ -179,7 +179,9 @@ def waterfill_phi(lambda_y: np.ndarray, lambda_g: np.ndarray, p_r: float) -> tup
     The one-row view of :func:`waterfill_phi_batch`: the water level is
     the closed form on the active set, not the root of a search.
     """
-    phi, nu = waterfill_phi_batch(np.asarray(lambda_y)[None], np.asarray(lambda_g)[None], p_r)
+    lambda_y = _check_array("lambda_y", lambda_y, shape=(None,))
+    lambda_g = _check_array("lambda_g", lambda_g, shape=lambda_y.shape)  # named in the caller's shapes
+    phi, nu = waterfill_phi_batch(lambda_y[None], lambda_g[None], p_r)
     return phi[0], float(nu[0])
 
 

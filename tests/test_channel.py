@@ -6,7 +6,6 @@ import pytest
 from relaylab.channel import (
     SystemConfig,
     config_at_snr,
-    default_power_coupling,
     sample_realization,
     sample_realization_batch,
 )
@@ -16,17 +15,17 @@ from relaylab.numerics import ContractViolation, SeedSpec
 class TestPowerCoupling:
     @pytest.mark.parametrize("n_s,rho,expected", [(2, 10.0, 20.0), (1, 1.0, 1.0), (4, 100.0, 400.0)])
     def test_values(self, n_s, rho, expected):
-        assert default_power_coupling(n_s, rho) == expected
+        assert SystemConfig(n_s=n_s, n_r=2, n_d=2, rho=rho).p_r == expected
 
     def test_rejects_nonpositive_rho(self):
-        with pytest.raises(ContractViolation):
-            default_power_coupling(2, 0.0)
+        with pytest.raises(ContractViolation, match="^rho "):
+            SystemConfig(n_s=2, n_r=2, n_d=2, rho=0.0)
 
     @pytest.mark.parametrize("n_s", [-1, 0, np.nan, 1.5, True])
     def test_rejects_bad_n_s(self, n_s):
-        # -1 gave a budget of -1.0 and NaN a NaN budget
+        # n_s is checked before the default budget rho * n_s is formed from it
         with pytest.raises(ContractViolation, match="^n_s "):
-            default_power_coupling(n_s, 1.0)
+            SystemConfig(n_s=n_s, n_r=2, n_d=2)
 
     def test_config_defaults_to_coupling(self):
         config = SystemConfig(n_s=3, n_r=2, n_d=2, rho=5.0)
@@ -42,6 +41,7 @@ class TestPowerCoupling:
         assert at_20db.rho == pytest.approx(100.0)
         assert at_20db.p_r == pytest.approx(200.0)
         assert at_20db.rate_bpcu == 2.0
+        assert config_at_snr(SystemConfig(2, 2, 2, rho=5.0, p_r=10.0, rate_bpcu=2.0), 20.0) == at_20db
 
 
 class TestConfigValidation:

@@ -592,8 +592,12 @@ class TestConfigParsing:
         assert spec.master_seed == 77
 
     def test_manifest_round_trips_unrounded_floats(self, tmp_path):
-        spec = SweepSpec(SystemConfig(4, 2, 3, rate_bpcu=1.99999999999), (10.00000000001, 20.0, 30.0), 100)
+        # the grid sets rho and p_r, so a spec built at rho = 10 equals its manifest too
         path = tmp_path / "manifest.txt"
+        at_rho = SweepSpec(SystemConfig(2, 2, 2, rho=10.0, rate_bpcu=2.0), (10.0, 20.0), 2048)
+        path.write_text(manifest_text(at_rho, "start", "end", 1, {"curve": "curve.csv"}))
+        assert parse_sweep_config(path) == at_rho
+        spec = SweepSpec(SystemConfig(4, 2, 3, rate_bpcu=1.99999999999), (10.00000000001, 20.0, 30.0), 100)
         path.write_text(manifest_text(spec, "start", "end", 1, {"curve": "curve.csv"}))
         assert parse_sweep_config(path) == spec
         assert "rate_bpcu = 1.99999999999\n" in path.read_text()

@@ -23,7 +23,6 @@ from relaylab.numerics import (
     eig_hermitian_desc,
     gram_eigvals_desc,
     philox4x64_block,
-    sample_complex_gaussian,
     sample_complex_gaussian_batch,
     solve_hermitian_psd,
 )
@@ -64,22 +63,22 @@ class TestPhilox:
             assert np.array_equal(row, (raw >> np.uint64(11)) * 2.0**-53)
 
     def test_determinism(self):
-        a = sample_complex_gaussian(3, 4, SeedSpec(42, 7))
-        b = sample_complex_gaussian(3, 4, SeedSpec(42, 7))
+        a = sample_complex_gaussian_batch(3, 4, 42, np.array([7], dtype=np.uint64))[0]
+        b = sample_complex_gaussian_batch(3, 4, 42, np.array([7], dtype=np.uint64))[0]
         assert np.array_equal(a, b)
 
     def test_batch_matches_single_draws(self):
         streams = np.array([0, 1, 5, 2**40 + 3], dtype=np.uint64)
         batch = sample_complex_gaussian_batch(2, 3, 99, streams, lane=1)
         for i, s in enumerate(streams):
-            single = sample_complex_gaussian(2, 3, SeedSpec(99, int(s)), lane=1)
+            single = sample_complex_gaussian_batch(2, 3, 99, np.array([s], dtype=np.uint64), lane=1)[0]
             assert np.array_equal(batch[i], single)
 
     def test_distinct_streams_and_lanes_differ(self):
-        a = sample_complex_gaussian(2, 2, SeedSpec(1, 0))
-        b = sample_complex_gaussian(2, 2, SeedSpec(1, 1))
-        c = sample_complex_gaussian(2, 2, SeedSpec(1, 0), lane=1)
-        d = sample_complex_gaussian(2, 2, SeedSpec(2, 0))
+        a = sample_complex_gaussian_batch(2, 2, 1, np.array([0], dtype=np.uint64))[0]
+        b = sample_complex_gaussian_batch(2, 2, 1, np.array([1], dtype=np.uint64))[0]
+        c = sample_complex_gaussian_batch(2, 2, 1, np.array([0], dtype=np.uint64), lane=1)[0]
+        d = sample_complex_gaussian_batch(2, 2, 2, np.array([0], dtype=np.uint64))[0]
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
         assert not np.array_equal(a, d)
@@ -131,7 +130,7 @@ class TestPhilox:
 
     def test_shape_validation(self):
         with pytest.raises(ContractViolation):
-            sample_complex_gaussian(0, 3, SeedSpec(0))
+            sample_complex_gaussian_batch(0, 3, 0, np.array([0], dtype=np.uint64))
 
     @pytest.mark.parametrize(
         "case",  # (the argument the error must name, master_seed, stream_indices, lane)
@@ -175,7 +174,7 @@ class TestEig:
         assert np.allclose(eig.values, [3.0, 1.0])
 
     def test_reconstruction_random_gram(self):
-        x = sample_complex_gaussian(4, 4, SeedSpec(11))
+        x = sample_complex_gaussian_batch(4, 4, 11, np.array([0], dtype=np.uint64))[0]
         a = x.conj().T @ x
         eig = eig_hermitian_desc(a)
         rebuilt = eig.vectors @ np.diag(eig.values) @ eig.vectors.conj().T
@@ -183,7 +182,7 @@ class TestEig:
         assert np.linalg.norm(eig.vectors.conj().T @ eig.vectors - np.eye(4)) <= 1e-10
 
     def test_unitary_conjugation_invariance(self):
-        x = sample_complex_gaussian(5, 5, SeedSpec(12))
+        x = sample_complex_gaussian_batch(5, 5, 12, np.array([0], dtype=np.uint64))[0]
         a = x.conj().T @ x
         u = _random_unitary(5, 3)
         va = eig_hermitian_desc(a).values
@@ -198,7 +197,7 @@ class TestEig:
         assert np.all(values >= 0.0)
 
     def test_deterministic_gauge(self):
-        x = sample_complex_gaussian(4, 4, SeedSpec(13))
+        x = sample_complex_gaussian_batch(4, 4, 13, np.array([0], dtype=np.uint64))[0]
         a = x.conj().T @ x
         v1 = eig_hermitian_desc(a).vectors
         v2 = eig_hermitian_desc(a.copy()).vectors
@@ -359,7 +358,7 @@ class TestGramInvTrace:
 
 class TestSolve:
     def test_identity(self):
-        b = sample_complex_gaussian(3, 2, SeedSpec(20))
+        b = sample_complex_gaussian_batch(3, 2, 20, np.array([0], dtype=np.uint64))[0]
         assert np.allclose(solve_hermitian_psd(np.eye(3), b), b)
 
     def test_scalar_matrix(self):
@@ -367,18 +366,18 @@ class TestSolve:
         assert np.allclose(x, 0.5 * np.eye(3))
 
     def test_random_pd_residual(self):
-        x = sample_complex_gaussian(5, 5, SeedSpec(21))
+        x = sample_complex_gaussian_batch(5, 5, 21, np.array([0], dtype=np.uint64))[0]
         a = x.conj().T @ x + np.eye(5)
-        b = sample_complex_gaussian(5, 3, SeedSpec(22))
+        b = sample_complex_gaussian_batch(5, 3, 22, np.array([0], dtype=np.uint64))[0]
         sol = solve_hermitian_psd(a, b)
         assert np.linalg.norm(a @ sol - b) <= 1e-9 * np.linalg.norm(b)
 
     def test_thousand_seeded_systems(self):
         for trial in range(1000):
             n = 1 + trial % 8
-            x = sample_complex_gaussian(n, n, SeedSpec(500, trial))
+            x = sample_complex_gaussian_batch(n, n, 500, np.array([trial], dtype=np.uint64))[0]
             a = x.conj().T @ x + np.eye(n)
-            b = sample_complex_gaussian(n, 2, SeedSpec(501, trial))
+            b = sample_complex_gaussian_batch(n, 2, 501, np.array([trial], dtype=np.uint64))[0]
             sol = solve_hermitian_psd(a, b)
             assert np.linalg.norm(a @ sol - b) <= 1e-9 * np.linalg.norm(b)
 

@@ -14,7 +14,7 @@ import pytest
 
 from relaylab.channel import ChannelRealization, SystemConfig, sample_realization, sample_realization_batch
 from relaylab.cli import _second_hop_mse_trace
-from relaylab.numerics import ContractViolation, SeedSpec, sample_complex_gaussian
+from relaylab.numerics import ContractViolation, SeedSpec, sample_complex_gaussian_batch
 from relaylab.transceiver import (
     RankDeficiencyError,
     build_design,
@@ -73,7 +73,7 @@ class TestRelayReceiver:
 
     def test_wiener_orthogonality_identity(self):
         # E[(y - x) y^H] = 0: l (rho H H^H + I) l^H == rho H^H l^H
-        h = sample_complex_gaussian(3, 2, SeedSpec(1))
+        h = sample_complex_gaussian_batch(3, 2, 1, np.array([0], dtype=np.uint64))[0]
         rho = 10.0
         l = relay_receiver(h, rho)
         lhs = l @ (rho * h @ h.conj().T + np.eye(3)) @ l.conj().T
@@ -91,14 +91,14 @@ class TestSignalCovariance:
         assert r_y[0, 0] == pytest.approx(0.5)
 
     def test_rank_deficient_when_more_source_antennas(self):
-        h = sample_complex_gaussian(2, 3, SeedSpec(2))  # n_r=2, n_s=3
+        h = sample_complex_gaussian_batch(2, 3, 2, np.array([0], dtype=np.uint64))[0]  # n_r=2, n_s=3
         r_y = signal_covariance(h, rho=10.0)
         values = np.linalg.eigvalsh(r_y)[::-1]
         assert values[2] <= 1e-9 * values[0]
 
     def test_complement_identity_across_draws(self):
         for stream in range(50):
-            h = sample_complex_gaussian(3, 2, SeedSpec(3, stream))
+            h = sample_complex_gaussian_batch(3, 2, 3, np.array([stream], dtype=np.uint64))[0]
             assert ry_identity_gap(h, rho=10.0) <= 1e-9
 
     def test_values_below_rho(self):
