@@ -70,7 +70,10 @@ def config_at_snr(config: SystemConfig, snr_db: float) -> SystemConfig:
     default budget of ``config.rho``, and naming ``snr_db`` unless that is a
     real number that keeps rho and p_r positive and finite.
     """
-    coupled = replace(config, p_r=None).p_r
+    try:
+        coupled = replace(config, p_r=None).p_r
+    except ContractViolation:  # rho * n_s overflows, so no finite p_r is the default budget
+        coupled = np.inf
     if config.p_r != coupled:
         raise ContractViolation(f"config.p_r must be rho * n_s = {coupled} in a sweep, got {config.p_r}")
     _check_scalar("snr_db", snr_db)

@@ -6,14 +6,16 @@ and every (stream, lane) pair owns a disjoint slice of the counter space,
 so draws are reproducible for any execution order and any number of
 workers. A vectorised Philox implementation (validated word-for-word
 against ``numpy.random.Philox``) lets millions of independently-keyed
-trials be sampled in single array operations. Gram eigenvalues come
-from :func:`gram_eigvals_desc` (``eigvalsh``, or at order 2 the closed
-form that also gives the transceiver its eigenpairs); a private trace
-helper screens for it. Where a Gram is needed by its entries (the order-2
-closed form, the trace screen, the transceiver's order-2 eigenpairs), one
-private helper, ``_gram_entries``, forms them on contiguous real planes.
-Two private checks stand behind every public boundary: ``_check_scalar``
-for one number, ``_check_array`` for arrays (their shape and entries).
+trials be sampled in single array operations; Box-Muller makes the entries
+with no libm sin/cos (an exact quarter-turn reduction and fdlibm's kernels
+take the angle). Gram eigenvalues come from :func:`gram_eigvals_desc`
+(``eigvalsh``, or at order 2 the closed form that also gives the
+transceiver its eigenpairs); a private trace helper screens for it. Where
+a Gram is needed by its entries (the order-2 closed form, the trace
+screen, the transceiver's order-2 eigenpairs), one private helper,
+``_gram_entries``, forms them on contiguous real planes. Two private
+checks stand behind every public boundary: ``_check_scalar`` for one
+number, ``_check_array`` for arrays (their shape and entries).
 """
 
 from __future__ import annotations
@@ -219,11 +221,46 @@ def _uniform_words(master_seed: int, lane: int, streams: np.ndarray, n_words: in
     return u.reshape(n, n_blocks * _WORDS_PER_BLOCK)[:, :n_words]
 
 
+# fdlibm's __kernel_sin and __kernel_cos coefficients (cos's led by its -1/2), and cos, sin of 0-3 quarter turns
+_SIN_POLY = (-1.66666666666666324348e-01, 8.33333333332248946124e-03, -1.98412698298579493134e-04,
+             2.75573137070700676789e-06, -2.50507602534068634195e-08, 1.58969099521155010221e-10)
+_COS_POLY = (-0.5, 4.16666666666666019037e-02, -1.38888888888741095749e-03, 2.48015872894767294178e-05,
+             -2.75573143513906633035e-07, 2.08757232129817482790e-09, -1.13596475577881948265e-11)
+_QUARTER_TURNS = np.array([[1, 0, -1, 0], [0, 1, 0, -1]], dtype=np.int8)
+
+
 def _complex_gaussian_from_uniforms(u: np.ndarray) -> np.ndarray:
-    # Box-Muller in polar form: two uniforms per CN(0,1) entry, so the
-    # counter footprint per entry is fixed (batched == single-draw output).
+    # Box-Muller in polar form: two uniforms per CN(0,1) entry, so the counter footprint per entry
+    # is fixed (batched == single-draw output). q = rint(4t) and f = 4t - q are exact for t = k 2^-53,
+    # so 2 pi t = q pi/2 + x, x = f pi/2 in [-pi/4, pi/4]: fdlibm's kernels on x, turned by q mod 4
+    # quarter turns (products with 0, +-1: exact), give cos and sin within 1.8e-16 and exact at quarter
+    # turns, with no libm sin/cos (libm on fl(2 pi t): 6.9e-16). Four real planes at most are live.
     radius = np.sqrt(-np.log1p(-u[..., 0::2]))
-    return radius * np.exp(2j * np.pi * u[..., 1::2])
+    x = u[..., 1::2] * 4.0
+    z = np.rint(x)
+    x = (x - z) * (np.pi / 2)
+    cos_q, sin_q = _QUARTER_TURNS.take(z.astype(np.uint8) & 3, axis=1)
+    np.multiply(x, x, out=z)
+    sin = np.multiply(z, _SIN_POLY[-1])
+    for c in _SIN_POLY[-2::-1]:  # Horner's rule: z (S1 + z (S2 + ...))
+        sin += c
+        sin *= z
+    sin *= x
+    sin += x
+    cos = np.multiply(z, _COS_POLY[-1], out=x)
+    for c in _COS_POLY[-2::-1]:  # z (-1/2 + z (C1 + z (C2 + ...)))
+        cos += c
+        cos *= z
+    cos += 1.0
+    cos *= radius
+    sin *= radius
+    del radius, z  # before the output is made
+    out = np.empty(sin.shape, dtype=np.complex128)
+    np.multiply(cos, cos_q, out=out.real)
+    np.multiply(sin, cos_q, out=out.imag)
+    out.real -= np.multiply(sin, sin_q, out=sin)
+    out.imag += np.multiply(cos, sin_q, out=cos)
+    return out
 
 
 def sample_complex_gaussian_batch(

@@ -20,7 +20,8 @@ precision at any SNR, 1e-18 and below included.
 
 Also here: ``mi_from_mse_trace``, the rate's Jensen bound from the total
 MSE, which the rate sandwich tests put between the exact rate and the
-eigenvalue bound.
+eigenvalue bound; and ``box_muller_exp``, Box-Muller with the angle from
+libm (``exp(2j pi t)``), the reference for the sampler's own cos and sin.
 """
 
 from __future__ import annotations
@@ -81,3 +82,8 @@ def vector_hop_outage(
 def mi_from_mse_trace(trace_re: float, rho: float, n_s: int) -> float:
     """Jensen bound on the rate from the total MSE, in bpcu."""
     return -0.5 * n_s * math.log2(trace_re / (rho * n_s))
+
+
+def box_muller_exp(u: np.ndarray) -> np.ndarray:
+    """CN(0,1) entries from uniform pairs (radius word, angle word), the angle through libm's exp."""
+    return np.sqrt(-np.log1p(-u[..., 0::2])) * np.exp(2j * np.pi * u[..., 1::2])

@@ -98,6 +98,9 @@ ROWS = [
     (channel, "config_at_snr", "snr_db", math.inf, lambda v: channel.config_at_snr(CONFIG, v), "snr_db"),
     (channel, "config_at_snr", "config.p_r", 0.001,
      lambda v: channel.config_at_snr(replace(CONFIG, p_r=v), 10.0), "config.p_r"),
+    # a rho whose default budget rho * n_s overflows: the error names config.p_r, not the unset p_r
+    (channel, "config_at_snr", "config.rho", 1e308,
+     lambda v: channel.config_at_snr(replace(CONFIG, rho=v, p_r=1.0), 10.0), "config.p_r"),
     (theory, "m_bar", "rate_bpcu", -1.0, lambda v: theory.m_bar(2, 2, v), "rate_bpcu"),
     (theory, "outage_threshold", "m_dim", 0, lambda v: theory.outage_threshold(2, v, 1.0), "m_dim"),
     (theory, "drt", "n_d", 0, lambda v: theory.drt(2, 2, v, 1.0), "n_d"),
@@ -108,6 +111,8 @@ ROWS = [
      lambda v: simulator.SweepSpec(CONFIG, (0.0, 10.0), v), "trials_per_point"),
     (simulator, "SweepSpec", "config.p_r", 0.001,
      lambda v: simulator.SweepSpec(replace(CONFIG, p_r=v), (10.0, 20.0), 2048), "config.p_r"),
+    (simulator, "SweepSpec", "config.rho", 1e308,
+     lambda v: simulator.SweepSpec(replace(CONFIG, rho=v, p_r=1.0), (10.0, 20.0), 2048), "config.p_r"),
     (simulator, "wilson_interval", "trials", 0, lambda v: simulator.wilson_interval(0, v), "trials"),
     (simulator, "run_point", "workers", 0,
      lambda v: simulator.run_point(CONFIG, 10.0, 100, "bound", 0, workers=v), "workers"),

@@ -6,15 +6,18 @@ solve are validated against reconstruction and residual identities.
 """
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracle import box_muller_exp
 
 from relaylab.numerics import (
     ContractViolation,
     NumericalRankError,
     SeedSpec,
     _check_array,
+    _complex_gaussian_from_uniforms,
     _gram2_eigh,
     _gram_entries,
     _gram_inv_trace,
@@ -161,6 +164,41 @@ class TestPhilox:
         shape = {"rows": 2, "cols": 2, name: value}
         with pytest.raises(ContractViolation, match=name):
             sample_complex_gaussian_batch(shape["rows"], shape["cols"], 0, [0])
+
+
+class TestBoxMuller:
+    """The sampler's cos and sin of 2 pi t (quarter-turn reduction, fdlibm kernels) against libm's exp."""
+
+    # angles 0, the smallest and largest nonzero word, and every eighth of a turn
+    EDGE_ANGLES = [0.0, 2.0**-53, *(k / 8 for k in range(1, 8)), 1.0 - 2.0**-53]
+
+    def test_matches_exp_route(self):
+        u = _uniform_words(20261021, 0, np.arange(2**14, dtype=np.uint64), 64)  # 2^20 uniforms
+        edges = np.array([[r, t] for r in (0.0, 0.5, 1.0 - 2.0**-53) for t in self.EDGE_ANGLES])
+        for words in (u, edges):
+            z, ref = _complex_gaussian_from_uniforms(words), box_muller_exp(words)
+            assert np.all(np.abs(z - ref) <= 2e-15 * np.abs(ref))
+
+    def test_exact_at_quarter_turns(self):
+        # libm's cos of the rounded pi/2 is 6.1e-17, not 0
+        r_word = np.array([0.3, 0.5, 1.0 - 2.0**-53])
+        r = np.sqrt(-np.log1p(-r_word))
+        for t, turn in ((0.0, 1), (0.25, 1j), (0.5, -1), (0.75, -1j)):
+            z = _complex_gaussian_from_uniforms(np.stack([r_word, np.full(3, t)], axis=-1))[:, 0]
+            assert np.array_equal(z, turn * r)
+
+    def test_peak_memory(self):
+        # A 2,048-trial 4x4x4 hop: 256 KiB per real plane, 512 KiB of output. The step
+        # reuses three real planes in place; without that it peaked at 3.25 MiB.
+        u = _uniform_words(7, 0, np.arange(2048, dtype=np.uint64), 32)
+        _complex_gaussian_from_uniforms(u)
+        tracemalloc.start()
+        try:
+            _complex_gaussian_from_uniforms(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20
 
 
 class TestEig:

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracle import box_muller_exp
 
-from relaylab import simulator
+from relaylab import channel, simulator
 from relaylab.channel import SystemConfig, config_at_snr, sample_realization, sample_realization_batch
 from relaylab.metrics import bound_statistic, evaluate_realization, mutual_info_joint, outage_threshold
-from relaylab.numerics import ContractViolation, SeedSpec, gram_eigvals_desc
+from relaylab.numerics import ContractViolation, SeedSpec, _uniform_words, gram_eigvals_desc
 from relaylab.simulator import (
     OUTAGE_MODES,
     POINT_STRIDE,
@@ -24,6 +25,7 @@ from relaylab.simulator import (
     OutagePoint,
     SweepSpec,
     _count_outages_bound,
+    _count_outages_designed,
     fit_slope,
     run_point,
     run_sweep,
@@ -468,6 +470,39 @@ class TestScheduler:
             _, trials = run_point(CFG_222, 10.0, 2048, "exact", master_seed=5, workers=2, _executor=executor)
         assert trials == 2048
         assert executor.submitted == []
+
+
+class TestSamplerCounts:
+    """Outage counts from the sampler equal those of libm's Box-Muller (``oracle.box_muller_exp``)
+    on the same Philox words: its cos and sin differ from libm's in the last bits only."""
+
+    @pytest.mark.parametrize(
+        "mode,shape,rate,snr_db",
+        [
+            ("bound", (4, 4, 4), 4.0, 20.0),
+            ("bound", (2, 2, 2), 0.42, 5.0),
+            ("exact", (4, 2, 3), 2.0, 10.0),
+            ("separate", (2, 2, 2), 2.0, 10.0),
+        ],
+        ids=["bound-4x4x4", "bound-2x2x2", "exact-4x2x3", "separate-2x2x2"],
+    )
+    def test_counts_equal_exp_route(self, mode, shape, rate, snr_db):
+        config = config_at_snr(SystemConfig(*shape, rate_bpcu=rate), snr_db)
+        seed, n, block = 20261021, 2**18, 8192
+        hops = ((channel._LANE_H, config.n_r, config.n_s), (channel._LANE_G, config.n_d, config.n_r))
+        counted = reference = 0
+        for start in range(0, n, block):
+            streams = np.arange(start, start + block, dtype=np.uint64)
+            h, g = (
+                box_muller_exp(_uniform_words(seed, lane, streams, 2 * rows * cols)).reshape(block, rows, cols)
+                for lane, rows, cols in hops
+            )
+            reference += (
+                _count_outages_bound(config, h, g) if mode == "bound" else _count_outages_designed(config, h, g, mode)
+            )
+            counted += simulator._count_block(config, mode, seed, 0, start, block)
+        assert counted == reference
+        assert 0 < reference < n
 
 
 class _SampledRows:
