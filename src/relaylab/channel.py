@@ -32,26 +32,28 @@ _LANE_G = 1
 class SystemConfig:
     """Static experiment parameters.
 
-    ``rho`` is the per-antenna source SNR on a linear scale; ``p_r`` the
-    relay power budget (defaults to ``rho * n_s``, the only budget a sweep
-    takes); ``rate_bpcu`` the target rate in bits per channel use.
+    ``rho`` is the per-antenna source SNR on a linear scale and
+    ``rate_bpcu`` the target rate in bits per channel use. The relay power
+    budget ``p_r`` is not a field: it is always ``rho * n_s``.
     """
 
     n_s: int
     n_r: int
     n_d: int
     rho: float = 1.0
-    p_r: float | None = None
     rate_bpcu: float = 0.0
 
     def __post_init__(self):
         for name in ("n_s", "n_r", "n_d"):
             _check_scalar(name, getattr(self, name), integer=True, low=1)
         _check_scalar("rho", self.rho, low=0, open_low=True)
-        if self.p_r is None:
-            object.__setattr__(self, "p_r", self.rho * self.n_s)
-        _check_scalar("p_r", self.p_r, low=0, open_low=True)
+        _check_scalar("rho * n_s", self.p_r)  # a finite rho can still overflow the budget
         _check_scalar("rate_bpcu", self.rate_bpcu, low=0)
+
+    @property
+    def p_r(self) -> float:
+        """Relay power budget, ``rho * n_s``."""
+        return self.rho * self.n_s
 
     @property
     def m_dim(self) -> int:
@@ -64,21 +66,14 @@ class SystemConfig:
 
 
 def config_at_snr(config: SystemConfig, snr_db: float) -> SystemConfig:
-    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB), with the default relay budget.
+    """Copy of ``config`` at per-antenna SNR ``snr_db`` (dB); its relay budget ``p_r`` follows.
 
-    Raises :class:`ContractViolation` naming ``config.p_r`` unless it is the
-    default budget of ``config.rho``, and naming ``snr_db`` unless that is a
+    Raises :class:`ContractViolation` naming ``snr_db`` unless that is a
     real number that keeps rho and p_r positive and finite.
     """
-    try:
-        coupled = replace(config, p_r=None).p_r
-    except ContractViolation:  # rho * n_s overflows, so no finite p_r is the default budget
-        coupled = np.inf
-    if config.p_r != coupled:
-        raise ContractViolation(f"config.p_r must be rho * n_s = {coupled} in a sweep, got {config.p_r}")
     _check_scalar("snr_db", snr_db)
     try:
-        return replace(config, rho=10.0 ** (snr_db / 10.0), p_r=None)
+        return replace(config, rho=10.0 ** (snr_db / 10.0))
     except (OverflowError, ContractViolation):  # 10**x overflows, underflows to 0, or rho * n_s does
         raise ContractViolation(f"snr_db must keep rho and p_r positive and finite, got {snr_db}") from None
 

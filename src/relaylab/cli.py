@@ -149,8 +149,8 @@ def read_curve_csv(path: Path, config: SystemConfig | None = None) -> OutageCurv
 
 
 # The sweep config, one row per key: (section, key, parse, format, default).
-# Each key is a field of SystemConfig ([system]) or SweepSpec ([sweep]);
-# a default of None marks a required key.
+# Each key is a field of SystemConfig ([system], all but rho) or SweepSpec
+# ([sweep]), and no other key is read. A default of None marks a required key.
 _SPEC_FIELDS = (
     ("system", "n_s", int, str, None),
     ("system", "n_r", int, str, None),
@@ -179,6 +179,11 @@ def _read_spec(path: Path) -> SweepSpec:
     if "system" not in parser or "sweep" not in parser:
         raise ContractViolation("must contain [system] and [sweep] sections")
     fields: dict[str, dict] = {"system": {}, "sweep": {}}
+    known = {(section, key) for section, key, *_ in _SPEC_FIELDS}
+    for section in fields:  # [run] and [outputs] are the manifest's own, and not read
+        for key in parser[section]:
+            if (section, key) not in known:
+                raise ContractViolation(f"[{section}] {key} is not a sweep config key")
     for section, key, parse, _, default in _SPEC_FIELDS:
         text = parser[section].get(key)
         if text is None and default is None:
@@ -320,6 +325,12 @@ def cmd_slope(args: argparse.Namespace) -> int:
     _check_scalar("--min-count", args.min_count, integer=True, low=1)
     config = _config_for_slope(args, curve_path)
     curve = _parsed("--curve", lambda path: read_curve_csv(path, config=config), curve_path)
+    for p in curve.points:  # simulate writes p_out = outages/trials to 10 digits, inside its Wilson interval
+        where = f"--curve: {curve_path} at {_fmt(p.snr_db)} dB: p_out {_fmt(p.p_out)}"
+        if abs(p.p_out - p.outages / p.trials) > 1e-9 * p.p_out:
+            raise ContractViolation(f"{where} is not outages/trials = {p.outages}/{p.trials}")
+        if not p.ci_low <= p.p_out <= p.ci_high:
+            raise ContractViolation(f"{where} lies outside [ci_low, ci_high] = [{_fmt(p.ci_low)}, {_fmt(p.ci_high)}]")
     try:
         fit = fit_slope(curve, min_count=args.min_count)
     except FitInfeasibleError as exc:
@@ -351,7 +362,7 @@ def _parse_shapes(text: str) -> list[tuple[int, int, int]]:
 
 def _scalar_oracle_gap() -> float:
     """Hand-computed 1x1x1 pipeline at rho=1, h=g=1, p_r=1."""
-    config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0, p_r=1.0, rate_bpcu=0.0)
+    config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0, rate_bpcu=0.0)
     chan = ChannelRealization(h=np.ones((1, 1), dtype=complex), g=np.ones((1, 1), dtype=complex))
     design = build_design(config, chan)
     gaps = [

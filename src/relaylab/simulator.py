@@ -37,7 +37,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,7 +91,7 @@ class FitInfeasibleError(RuntimeError):
 class SweepSpec:
     """Full description of one outage-vs-SNR experiment; the grid alone sets rho and p_r."""
 
-    config: SystemConfig          # antennas and rate, kept at rho = 1; p_r must be the default
+    config: SystemConfig          # antennas and rate, kept at rho = 1
     snr_grid_db: tuple[float, ...]
     trials_per_point: int
     outage_mode: str = "bound"
@@ -104,13 +104,12 @@ class SweepSpec:
         object.__setattr__(self, "snr_grid_db", grid)
         if len(grid) == 0 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ContractViolation(f"snr_grid_db must be strictly ascending, got {grid}")
-        config = replace(self.config, rho=1.0, p_r=None)
+        config = replace(self.config, rho=1.0)
         for snr_db in (grid[0], grid[-1]):  # rho and p_r grow with the SNR, so the ends bound them
             try:
                 config_at_snr(config, snr_db)
             except ContractViolation as exc:
                 raise ContractViolation(f"snr_grid_db: {exc}") from None
-        config_at_snr(self.config, grid[0])  # the grid is valid, so this refuses only an uncoupled p_r
         object.__setattr__(self, "config", config)
         SeedSpec(self.master_seed)
         _check_scalar("trials_per_point", self.trials_per_point, integer=True, low=100, high=POINT_STRIDE)
@@ -221,12 +220,12 @@ def run_point(
     workers: int = 1,
     adaptive: bool = False,
     target_outages: int = 200,
-    _executor: ProcessPoolExecutor | None = None,
+    _executor: Executor | _SharedPool | None = None,
 ) -> tuple[int, int]:
     """Count outages at one SNR point; returns ``(outages, trials_run)``.
 
-    ``snr_db`` sets rho and p_r (:func:`~relaylab.channel.config_at_snr`
-    refuses a ``config.p_r`` but the default). Deterministic in (config,
+    ``snr_db`` sets rho, and with it p_r = rho * n_s
+    (:func:`~relaylab.channel.config_at_snr`). Deterministic in (config,
     snr_db, trials, mode, master_seed, point_index) for any worker count.
     A chunk of ``_CHUNK`` trials is the stop unit: with ``adaptive`` the
     point stops at the first chunk boundary where the outage count k
@@ -254,7 +253,7 @@ def run_point(
     blocks = [(s - s % _CHUNK, s, min(size, trials - s)) for s in range(0, trials, size)]
     tasks = [(at_snr, mode, master_seed, point_index, start, n) for _, start, n in blocks]
 
-    def consume(executor: ProcessPoolExecutor | None) -> tuple[int, int]:
+    def consume(executor: Executor | _SharedPool | None) -> tuple[int, int]:
         # Blocks are counted in trial order; without an executor each is
         # counted here when its turn comes.
         window = 4 * workers

@@ -17,7 +17,6 @@ with no shape row are listed in ``NO_SHAPE_ROW``.
 
 import math
 import re
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -89,6 +88,8 @@ ROWS = [
     (metrics, "evaluate_realization", "chan", OTHER, lambda v: metrics.evaluate_realization(CONFIG, v),
      "chan.h"),
     (channel, "SystemConfig", "n_d", 0, lambda v: SystemConfig(n_s=2, n_r=2, n_d=v), "n_d"),
+    # a finite rho whose budget rho * n_s overflows: the error names rho, which the caller set
+    (channel, "SystemConfig", "rho", 1e308, lambda v: SystemConfig(n_s=2, n_r=2, n_d=2, rho=v), "rho"),
     (channel, "ChannelRealization", "g", math.nan, lambda v: channel.ChannelRealization(CHAN.h, _with(CHAN.g, v)),
      "hop g"),
     (channel, "sample_realization", "seed", SimpleNamespace(master_seed=-1, stream_index=0),
@@ -96,11 +97,6 @@ ROWS = [
     (channel, "sample_realization_batch", "stream_indices", -1,
      lambda v: channel.sample_realization_batch(CONFIG, 0, np.array([v])), "stream_indices"),
     (channel, "config_at_snr", "snr_db", math.inf, lambda v: channel.config_at_snr(CONFIG, v), "snr_db"),
-    (channel, "config_at_snr", "config.p_r", 0.001,
-     lambda v: channel.config_at_snr(replace(CONFIG, p_r=v), 10.0), "config.p_r"),
-    # a rho whose default budget rho * n_s overflows: the error names config.p_r, not the unset p_r
-    (channel, "config_at_snr", "config.rho", 1e308,
-     lambda v: channel.config_at_snr(replace(CONFIG, rho=v, p_r=1.0), 10.0), "config.p_r"),
     (theory, "m_bar", "rate_bpcu", -1.0, lambda v: theory.m_bar(2, 2, v), "rate_bpcu"),
     (theory, "outage_threshold", "m_dim", 0, lambda v: theory.outage_threshold(2, v, 1.0), "m_dim"),
     (theory, "drt", "n_d", 0, lambda v: theory.drt(2, 2, v, 1.0), "n_d"),
@@ -109,15 +105,9 @@ ROWS = [
     (theory, "predict", "rate_bpcu", math.inf, lambda v: theory.predict(2, 2, 2, v), "rate_bpcu"),
     (simulator, "SweepSpec", "trials_per_point", 10,
      lambda v: simulator.SweepSpec(CONFIG, (0.0, 10.0), v), "trials_per_point"),
-    (simulator, "SweepSpec", "config.p_r", 0.001,
-     lambda v: simulator.SweepSpec(replace(CONFIG, p_r=v), (10.0, 20.0), 2048), "config.p_r"),
-    (simulator, "SweepSpec", "config.rho", 1e308,
-     lambda v: simulator.SweepSpec(replace(CONFIG, rho=v, p_r=1.0), (10.0, 20.0), 2048), "config.p_r"),
     (simulator, "wilson_interval", "trials", 0, lambda v: simulator.wilson_interval(0, v), "trials"),
     (simulator, "run_point", "workers", 0,
      lambda v: simulator.run_point(CONFIG, 10.0, 100, "bound", 0, workers=v), "workers"),
-    (simulator, "run_point", "config.p_r", 0.001,
-     lambda v: simulator.run_point(replace(CONFIG, p_r=v), 10.0, 100, "bound", 0), "config.p_r"),
     (simulator, "run_sweep", "workers", True,
      lambda v: simulator.run_sweep(simulator.SweepSpec(CONFIG, (0.0,), 100), workers=v), "workers"),
     (simulator, "fit_slope", "min_count", 0,

@@ -1,5 +1,7 @@
 """Configuration validation and Rayleigh draw statistics."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -31,9 +33,10 @@ class TestPowerCoupling:
         config = SystemConfig(n_s=3, n_r=2, n_d=2, rho=5.0)
         assert config.p_r == 15.0
 
-    def test_p_r_override(self):
-        config = SystemConfig(n_s=3, n_r=2, n_d=2, rho=5.0, p_r=2.0)
-        assert config.p_r == 2.0
+    def test_p_r_is_derived_not_set(self):
+        assert [f.name for f in fields(SystemConfig)] == ["n_s", "n_r", "n_d", "rho", "rate_bpcu"]
+        with pytest.raises(TypeError):
+            SystemConfig(n_s=3, n_r=2, n_d=2, rho=5.0, p_r=2.0)
 
     def test_config_at_snr(self):
         base = SystemConfig(n_s=2, n_r=2, n_d=2, rate_bpcu=2.0)
@@ -41,7 +44,7 @@ class TestPowerCoupling:
         assert at_20db.rho == pytest.approx(100.0)
         assert at_20db.p_r == pytest.approx(200.0)
         assert at_20db.rate_bpcu == 2.0
-        assert config_at_snr(SystemConfig(2, 2, 2, rho=5.0, p_r=10.0, rate_bpcu=2.0), 20.0) == at_20db
+        assert config_at_snr(SystemConfig(2, 2, 2, rho=5.0, rate_bpcu=2.0), 20.0) == at_20db
 
 
 class TestConfigValidation:
@@ -59,7 +62,7 @@ class TestConfigValidation:
         with pytest.raises(ContractViolation):
             SystemConfig(**{"n_s": 1, "n_r": 1, "n_d": 1, field: value})
 
-    @pytest.mark.parametrize("field", ["rho", "p_r", "rate_bpcu"])
+    @pytest.mark.parametrize("field", ["rho", "rate_bpcu"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, field, value):
         # NaN passes every "< 0" check, so a NaN rate used to give p_out = 0
@@ -67,8 +70,8 @@ class TestConfigValidation:
             SystemConfig(n_s=2, n_r=2, n_d=2, **{field: value})
 
     @pytest.mark.parametrize(
-        "field,value",  # None and "1" used to raise TypeError; p_r = None selects the default budget
-        [(f, v) for f in ("rho", "p_r", "rate_bpcu") for v in (None, "1", True, 1j) if (f, v) != ("p_r", None)],
+        "field,value",  # None and "1" used to raise TypeError
+        [(f, v) for f in ("rho", "rate_bpcu") for v in (None, "1", True, 1j)],
     )
     def test_real_fields_must_be_numbers(self, field, value):
         with pytest.raises(ContractViolation, match=field):

@@ -6,6 +6,7 @@ path runs; file outputs land in tmp_path.
 
 import hashlib
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,8 @@ class TestSimulateCommand:
             ("master_seed = 77", "master_seed = 77\nadaptive = maybe", "[sweep] adaptive"),
             ("snr_grid_db = 5, 10, 15", "snr_grid_db = 10, 4000", "snr_grid_db"),  # used to exit 1
             ("snr_grid_db = 5, 10, 15", "snr_grid_db = -4000, 10", "snr_grid_db"),  # used to exit 1
+            ("n_d = 2", "n_d = 2\np_r = 5", "[system] p_r"),  # unknown keys used to be ignored
+            ("outage_mode = bound", "outage_mod = exact", "[sweep] outage_mod"),
         ],
     )
     def test_bad_value_names_key_exit_2(self, tmp_path, capsys, case):
@@ -314,9 +317,9 @@ class TestSlopeCommand:
     def _write_power_law_curve(self, path: Path, d: float):
         lines = [CURVE_HEADER]
         for snr in (10.0, 15.0, 20.0, 25.0):
-            rho = 10 ** (snr / 10)
-            p = rho**-d
-            lines.append(f"{snr},{p:.10g},1000000000000,{int(p * 1e12)},{p:.10g},{p:.10g}")
+            k = round(10 ** (-d * snr / 10) * 1e12)
+            p = k / 1e12
+            lines.append(f"{snr},{p:.10g},1000000000000,{k},{p:.10g},{p:.10g}")
         path.write_text("\n".join(lines) + "\n")
 
     def test_synthetic_cubic_fixture(self, tmp_path, capsys):
@@ -408,6 +411,22 @@ class TestSlopeCommand:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
         assert f"{curve} line 3: {field}" in captured.err
+
+    @pytest.mark.parametrize(
+        "changes",  # new values for the fields of line 3 (15 dB); each field is valid alone
+        [{"p_out": "0.09", "outages": "5", "trials": "1000"}, {"ci_low": "0.5"}, {"ci_high": "0.01"}],
+    )
+    def test_row_contradicting_its_counts_exit_2(self, tmp_path, capsys, changes):
+        # these rows used to be fitted as they stood
+        curve = tmp_path / "curve.csv"
+        self._write_power_law_curve(curve, 1.0)
+        lines = curve.read_text().splitlines()
+        lines[2] = ",".join(dict(zip(CURVE_HEADER.split(","), lines[2].split(",")), **changes).values())
+        curve.write_text("\n".join(lines) + "\n")
+        assert main(["slope", "--curve", str(curve)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: --curve: {curve} at 15 dB")
 
     def test_broken_sibling_manifest_exit_2(self, tmp_path, capsys):
         self._write_power_law_curve(tmp_path / "curve.csv", 1.0)
@@ -584,6 +603,11 @@ class TestPinnedCurves:
 
 
 class TestConfigParsing:
+    def test_keys_are_the_spec_fields(self):
+        keys = {section: [key for s, key, *_ in cli._SPEC_FIELDS if s == section] for section in ("system", "sweep")}
+        assert keys["system"] == [f.name for f in fields(SystemConfig) if f.name != "rho"]  # the grid sets rho
+        assert keys["sweep"] == [f.name for f in fields(SweepSpec) if f.name != "config"]
+
     def test_round_trip(self, config_path):
         spec = parse_sweep_config(config_path)
         assert spec.config.shape_label == "2x2x2"

@@ -314,7 +314,7 @@ class TestOptimalGammaBatch:
 
 class TestBuildDesign:
     def test_scalar_pipeline_hand_values(self):
-        config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0, p_r=1.0)
+        config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0)
         chan = ChannelRealization(h=np.ones((1, 1), dtype=complex), g=np.ones((1, 1), dtype=complex))
         design = build_design(config, chan)
         assert design.l[0, 0] == pytest.approx(0.5)
@@ -386,7 +386,7 @@ class TestErrorCovariance:
         assert np.allclose(cov.gamma, 0.0)
 
     def test_scalar_value_both_routes(self):
-        config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0, p_r=1.0)
+        config = SystemConfig(n_s=1, n_r=1, n_d=1, rho=1.0)
         chan = ChannelRealization(h=np.ones((1, 1), dtype=complex), g=np.ones((1, 1), dtype=complex))
         design = build_design(config, chan)
         direct = error_cov_direct(config, chan, design.q)
