@@ -17,6 +17,7 @@ with no shape row are listed in ``NO_SHAPE_ROW``.
 
 import math
 import re
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -97,6 +98,10 @@ ROWS = [
     (channel, "sample_realization_batch", "stream_indices", -1,
      lambda v: channel.sample_realization_batch(CONFIG, 0, np.array([v])), "stream_indices"),
     (channel, "config_at_snr", "snr_db", math.inf, lambda v: channel.config_at_snr(CONFIG, v), "snr_db"),
+    # config_at_snr takes rho from snr_db alone, so a config whose budget overflows never reaches it:
+    # building that config is refused, naming rho
+    (channel, "config_at_snr", "config.rho", 1e308,
+     lambda v: channel.config_at_snr(replace(CONFIG, rho=v), 10.0), "rho"),
     (theory, "m_bar", "rate_bpcu", -1.0, lambda v: theory.m_bar(2, 2, v), "rate_bpcu"),
     (theory, "outage_threshold", "m_dim", 0, lambda v: theory.outage_threshold(2, v, 1.0), "m_dim"),
     (theory, "drt", "n_d", 0, lambda v: theory.drt(2, 2, v, 1.0), "n_d"),
@@ -105,6 +110,8 @@ ROWS = [
     (theory, "predict", "rate_bpcu", math.inf, lambda v: theory.predict(2, 2, 2, v), "rate_bpcu"),
     (simulator, "SweepSpec", "trials_per_point", 10,
      lambda v: simulator.SweepSpec(CONFIG, (0.0, 10.0), v), "trials_per_point"),
+    (simulator, "SweepSpec", "config.rho", 1e308,
+     lambda v: simulator.SweepSpec(replace(CONFIG, rho=v), (10.0, 20.0), 2048), "rho"),
     (simulator, "wilson_interval", "trials", 0, lambda v: simulator.wilson_interval(0, v), "trials"),
     (simulator, "run_point", "workers", 0,
      lambda v: simulator.run_point(CONFIG, 10.0, 100, "bound", 0, workers=v), "workers"),
